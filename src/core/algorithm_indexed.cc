@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "core/algo_context.h"
 #include "core/exec_context.h"
@@ -8,26 +7,17 @@
 
 namespace galaxy::core::internal {
 
-namespace {
-
-// Canonical key for an unordered group pair, used to avoid classifying the
-// same pair from both endpoints' window queries.
-uint64_t PairKey(uint32_t a, uint32_t b) {
-  uint32_t lo = a < b ? a : b;
-  uint32_t hi = a < b ? b : a;
-  return (static_cast<uint64_t>(lo) << 32) | hi;
-}
-
-}  // namespace
-
 // Algorithm 5 ("IN"; with the MBB internal approximation enabled it is
 // "LO"): groups are probed in priority order, and for each probe g1 a
 // window query on an R-tree of group MBB max-corners returns exactly the
 // groups that could γ-dominate g1 — those whose max corner lies in the
 // region weakly dominating g1's min corner (Figure 9(a)). Only those
 // candidates are compared. Classification marks both sides, so dominances
-// discovered "by accident" (g1 beating a candidate) are kept as well; a
-// dedup set prevents re-classifying a pair from the other endpoint.
+// discovered "by accident" (g1 beating a candidate) are kept as well. A
+// probe stops once g1 is strongly dominated: its marks are then final, and
+// every group g1 could dominate still finds g1 in its own window. A pair is
+// not re-classified from the other endpoint when that endpoint's probe ran
+// to completion and g1 lies in its window (DESIGN.md §3b).
 void RunIndexed(AlgoContext& ctx) {
   const GroupedDataset& dataset = ctx.dataset();
   const size_t dims = dataset.dims();
@@ -64,12 +54,12 @@ void RunIndexed(AlgoContext& ctx) {
 
   std::vector<uint32_t> order =
       OrderGroups(dataset, ctx.options().ordering);
-  std::unordered_set<uint64_t> compared;
+  std::vector<uint8_t> probed(n, 0);  // probe ran without stopping early
   std::vector<uint32_t> candidates;
 
   for (uint32_t a = 0; a < n; ++a) {
     uint32_t i = order[a];
-    if (ctx.Skippable(i)) continue;
+    if (ctx.strongly_dominated(i)) continue;
     if (ctx.interrupted()) return;
 
     // All groups whose MBB max corner weakly dominates g1's min corner are
@@ -82,21 +72,28 @@ void RunIndexed(AlgoContext& ctx) {
       ctx.stats()->window_candidates += candidates.size();
     }
 
+    const Point& i_max = dataset.group(i).mbb().max;
+    probed[i] = 1;
     for (uint32_t j : candidates) {
       if (j == i) continue;
       if (ctx.Skippable(j)) {
         if (ctx.stats() != nullptr) ++ctx.stats()->pairs_skipped_strong;
         continue;
       }
-      if (!compared.insert(PairKey(i, j)).second) {
-        if (ctx.stats() != nullptr) ++ctx.stats()->pairs_skipped_dedup;
-        continue;
+      if (probed[j] != 0) {
+        const Point& j_min = dataset.group(j).mbb().min;
+        size_t d = 0;
+        while (d < dims && i_max[d] >= j_min[d]) ++d;
+        if (d == dims) {  // j's finished probe already classified (j, i)
+          if (ctx.stats() != nullptr) ++ctx.stats()->pairs_skipped_dedup;
+          continue;
+        }
       }
       if (ctx.interrupted()) return;
       ctx.Compare(i, j);
-      if (ctx.options().prune_strongly_dominated &&
-          ctx.strongly_dominated(i)) {
-        break;  // the probe is out; stop searching for its dominators
+      if (ctx.strongly_dominated(i)) {
+        probed[i] = 0;  // the probe is out; stop searching for dominators
+        break;
       }
     }
   }

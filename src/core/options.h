@@ -70,10 +70,10 @@ struct AggregateSkylineOptions {
   /// LO; setting it here forces it for any algorithm (ablations).
   bool use_mbb = false;
 
-  /// Skip strongly-dominated groups entirely, as Algorithms 3-5 do
-  /// (justified by weak transitivity). Setting this to false makes
-  /// TR/SI/IN/LO exact at the cost of extra comparisons ("safe mode"; see
-  /// DESIGN.md on the weak-transitivity gap).
+  /// Skip strongly-dominated groups as comparison candidates, as Algorithms
+  /// 3-5 do (weak transitivity; DESIGN.md erratum 3). False is "safe mode":
+  /// TR/SI/IN/LO are exact. IN/LO stop probing a group once it is strongly
+  /// dominated in both modes, which is exact (DESIGN.md §3b).
   bool prune_strongly_dominated = true;
 
   /// Use the provably sufficient strong threshold γ̄ = (3+γ)/4 instead of

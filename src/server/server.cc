@@ -158,6 +158,13 @@ Server::Server(sql::Database* db, const ServerOptions& options)
   sky_chunks_stolen_ = metrics_.AddCounter(
       "galaxy_skyline_chunks_stolen_total",
       "work-stealing rebalances in parallel skyline runs");
+  sky_window_candidates_ = metrics_.AddCounter(
+      "galaxy_skyline_window_candidates_total",
+      "candidate groups returned by the indexed skyline's window queries");
+  sky_pairs_skipped_dedup_ = metrics_.AddCounter(
+      "galaxy_skyline_pairs_skipped_dedup_total",
+      "group pairs the indexed skyline already classified from the other "
+      "side");
   for (int code : {200, 206, 400, 404, 405, 408, 413, 429, 500, 501, 503,
                    505}) {
     responses_by_code_[code] = metrics_.AddCounter(
@@ -493,6 +500,8 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   sky_mbb_shortcuts_->Inc(stats.skyline_stats.mbb_shortcuts);
   sky_stopped_early_->Inc(stats.skyline_stats.stopped_early);
   sky_chunks_stolen_->Inc(stats.skyline_stats.chunks_stolen);
+  sky_window_candidates_->Inc(stats.skyline_stats.window_candidates);
+  sky_pairs_skipped_dedup_->Inc(stats.skyline_stats.pairs_skipped_dedup);
 
   const bool degraded =
       stats.skyline_quality == core::ResultQuality::kApproximateSuperset;

@@ -208,6 +208,8 @@ class Server {
   Counter* sky_mbb_shortcuts_;
   Counter* sky_stopped_early_;
   Counter* sky_chunks_stolen_;
+  Counter* sky_window_candidates_;
+  Counter* sky_pairs_skipped_dedup_;
   Histogram* query_latency_;
   Gauge* active_queries_;
   Gauge* queue_depth_;

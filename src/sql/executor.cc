@@ -989,7 +989,10 @@ Result<std::vector<size_t>> AggregateSkylineFilter(
   }
   core::AggregateSkylineOptions options;
   options.gamma = gamma.value_or(0.5);
-  options.algorithm = core::Algorithm::kNestedLoop;
+  // Safe-mode IN: the R-tree limits each group to the groups that could
+  // γ-dominate it, and without candidate skipping the answer stays exact.
+  options.algorithm = core::Algorithm::kIndexed;
+  options.prune_strongly_dominated = false;
   options.exec = exec_options.exec;
   options.allow_approximate = exec_options.allow_approximate;
   GALAXY_ASSIGN_OR_RETURN(core::AggregateSkylineResult sky,

@@ -9,6 +9,7 @@
 #include "core/gamma.h"
 #include "datagen/groups.h"
 #include "datagen/movies.h"
+#include "testing/oracle.h"
 
 namespace galaxy::core {
 namespace {
@@ -257,6 +258,73 @@ TEST(AlgorithmsTest, LabelsHelper) {
   EXPECT_EQ(result.Labels(ds), (std::vector<std::string>{"A", "C"}));
   EXPECT_TRUE(result.Contains(0));
   EXPECT_FALSE(result.Contains(1));
+}
+
+// DESIGN.md erratum 3: R strongly dominates S, S strongly dominates T, and
+// R does not γ-dominate T, so T's only γ-dominator is itself strongly
+// dominated. Skipping S as a candidate loses T's marks; safe mode keeps
+// IN's probe exit (S's probe stops at R) yet must still mark T.
+TEST(SafeModeIndexedTest, WeakTransitivityGapMatchesOracleMarks) {
+  GroupedDataset ds = GroupedDataset::FromPoints(
+      {{{0.8729, 0.4750}, {0.9814, 0.9968}},
+       {{0.6496, 0.7461}, {0.0303, 0.1665}, {0.5199, 0.6789}},
+       {{0.0820, 0.6372}}},
+      {"R", "S", "T"});
+  const testing::OracleResult oracle =
+      testing::ComputeOracle(ds, GammaThresholds::FromGamma(0.5));
+  ASSERT_EQ(oracle.skyline, (std::vector<uint32_t>{0}));
+  ASSERT_EQ(oracle.strongly_dominated, (std::vector<uint8_t>{0, 1, 1}));
+
+  // Paper-mode IN skips S as T's candidate and wrongly keeps T.
+  AggregateSkylineOptions paper;
+  paper.algorithm = Algorithm::kIndexed;
+  ASSERT_EQ(ComputeAggregateSkyline(ds, paper).skyline,
+            (std::vector<uint32_t>{0, 2}));
+
+  for (Algorithm algo : {Algorithm::kIndexed, Algorithm::kIndexedBbox}) {
+    for (GroupOrdering ordering :
+         {GroupOrdering::kCornerDistance, GroupOrdering::kSmallestFirst,
+          GroupOrdering::kSmallestFirstThenCorner}) {
+      AggregateSkylineOptions options;
+      options.algorithm = algo;
+      options.ordering = ordering;
+      options.prune_strongly_dominated = false;
+      AggregateSkylineResult result = ComputeAggregateSkyline(ds, options);
+      const std::string where = std::string(AlgorithmToString(algo)) + " " +
+                                GroupOrderingToString(ordering);
+      EXPECT_EQ(result.skyline, oracle.skyline) << where;
+      EXPECT_EQ(result.dominated, oracle.dominated) << where;
+      EXPECT_EQ(result.strongly_dominated, oracle.strongly_dominated)
+          << where;
+    }
+  }
+}
+
+// Safe-mode IN must prune, not fall back to exhaustive probing: on a fixed
+// anti-correlated d = 4 dataset it classifies strictly fewer pairs than NL
+// and skips pairs already classified from the other side.
+TEST(SafeModeIndexedTest, ClassifiesFewerPairsThanNestedLoop) {
+  datagen::GroupedWorkloadConfig config;
+  config.num_records = 4000;
+  config.avg_records_per_group = 50;
+  config.dims = 4;
+  config.distribution = datagen::Distribution::kAntiCorrelated;
+  config.seed = 2013;
+  GroupedDataset ds = datagen::GenerateGrouped(config);
+
+  AggregateSkylineOptions nl_options;
+  nl_options.algorithm = Algorithm::kNestedLoop;
+  AggregateSkylineResult nl = ComputeAggregateSkyline(ds, nl_options);
+
+  AggregateSkylineOptions in_options;
+  in_options.algorithm = Algorithm::kIndexed;
+  in_options.prune_strongly_dominated = false;
+  AggregateSkylineResult in = ComputeAggregateSkyline(ds, in_options);
+
+  EXPECT_EQ(in.skyline, nl.skyline);
+  EXPECT_EQ(in.dominated, nl.dominated);
+  EXPECT_LT(in.stats.group_pairs_classified, nl.stats.group_pairs_classified);
+  EXPECT_GT(in.stats.pairs_skipped_dedup, 0u);
 }
 
 }  // namespace

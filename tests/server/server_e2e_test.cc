@@ -386,6 +386,36 @@ TEST_F(ServerE2eTest, MetricsEndpointReportsServingCounters) {
   }
 }
 
+// Value of an unlabeled counter in a /metrics body, or -1 when absent.
+long long CounterValue(const std::string& body, const std::string& name) {
+  const size_t at = body.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(body.substr(at + name.size() + 2));
+}
+
+TEST_F(ServerE2eTest, MetricsExposeIndexedSkylinePruning) {
+  StartServer(GroupedTable(30, 20, 12));
+  ClientResponse query = Exchange(
+      port_, QueryRequest("SELECT class FROM data GROUP BY class "
+                          "SKYLINE OF a0 MAX, a1 MAX"));
+  ASSERT_EQ(query.status, 200) << query.body;
+
+  ClientResponse metrics = Exchange(port_, "GET /metrics HTTP/1.1\r\n\r\n");
+  ASSERT_EQ(metrics.status, 200);
+  const long long pairs =
+      CounterValue(metrics.body, "galaxy_skyline_group_pairs_total");
+  const long long candidates =
+      CounterValue(metrics.body, "galaxy_skyline_window_candidates_total");
+  const long long dedup =
+      CounterValue(metrics.body, "galaxy_skyline_pairs_skipped_dedup_total");
+  // The served operator is the indexed algorithm: every classified pair
+  // came out of a window query, and overlapping groups find each other
+  // from both sides, where the second sighting is skipped.
+  EXPECT_GT(pairs, 0);
+  EXPECT_GE(candidates, pairs);
+  EXPECT_GT(dedup, 0);
+}
+
 TEST_F(ServerE2eTest, KeepAliveServesSequentialRequestsOnOneConnection) {
   StartServer(GroupedTable(2, 2, 11));
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

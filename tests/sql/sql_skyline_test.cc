@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "datagen/groups.h"
 #include "datagen/movies.h"
 #include "sql/catalog.h"
+#include "testing/oracle.h"
 
 namespace galaxy::sql {
 namespace {
@@ -147,6 +154,113 @@ TEST_F(SqlSkylineTest, SkylineAttributeMustBeNumeric) {
   EXPECT_FALSE(
       db_.Query("SELECT * FROM Movie SKYLINE OF Title MAX").ok());
 }
+
+// The served GROUP BY … SKYLINE OF operator against the Definition-3
+// oracle on generated tables with added singleton groups and duplicate
+// records, under all-MAX and mixed MAX/MIN preferences.
+struct OracleCase {
+  datagen::Distribution distribution;
+  size_t dims;
+  double gamma;
+  bool mixed_prefs;  // odd attributes MIN instead of all MAX
+};
+
+class SqlSkylineOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(SqlSkylineOracleTest, ServedOperatorMatchesOracle) {
+  const OracleCase& c = GetParam();
+  const uint64_t seed = 100 * c.dims + static_cast<uint64_t>(c.gamma * 10) +
+                        (c.mixed_prefs ? 7 : 0);
+  datagen::GroupedWorkloadConfig config;
+  config.num_records = 600;
+  config.avg_records_per_group = 20;
+  config.dims = c.dims;
+  config.distribution = c.distribution;
+  config.seed = seed;
+  core::GroupedDataset generated = datagen::GenerateGrouped(config);
+
+  // Per-group records in the table's own orientation.
+  std::vector<std::vector<Point>> groups;
+  for (const core::Group& g : generated.groups()) {
+    std::vector<Point> points;
+    for (size_t r = 0; r < g.size(); ++r) {
+      auto p = g.point(r);
+      points.emplace_back(p.begin(), p.end());
+    }
+    groups.push_back(std::move(points));
+  }
+  for (size_t g = 0; g < groups.size(); g += 3) {
+    groups[g].push_back(groups[g].front());  // duplicate within a group
+  }
+  groups[1].push_back(groups[0].front());  // duplicate across groups
+  Rng rng(seed);
+  for (int k = 0; k < 4; ++k) {
+    Point p(c.dims);
+    for (double& x : p) x = rng.NextDouble();
+    groups.push_back({std::move(p)});  // singleton groups
+  }
+  groups.push_back({groups[2].back()});  // singleton copying a record
+
+  std::vector<ColumnDef> columns{{"class", ValueType::kString}};
+  std::string sql = "SELECT class FROM data GROUP BY class SKYLINE OF ";
+  for (size_t d = 0; d < c.dims; ++d) {
+    const bool min = c.mixed_prefs && d % 2 == 1;
+    columns.push_back({"a" + std::to_string(d), ValueType::kDouble});
+    sql += (d > 0 ? ", a" : "a") + std::to_string(d) + (min ? " MIN" : " MAX");
+  }
+  sql += " GAMMA " + std::to_string(c.gamma);
+  std::vector<std::string> labels;
+  std::vector<Row> rows;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    labels.push_back("c" + std::to_string(g));
+    for (const Point& p : groups[g]) {
+      Row row{Value(labels.back())};
+      for (double x : p) row.emplace_back(x);
+      rows.push_back(std::move(row));
+    }
+  }
+  Database db;
+  db.Register("data", Table(Schema(std::move(columns)), std::move(rows)));
+  auto result = db.Query(sql);
+  ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+  std::set<std::string> served;
+  for (size_t r = 0; r < result->num_rows(); ++r) {
+    served.insert(result->at(r, 0).AsString());
+  }
+
+  // The oracle sees MAX-oriented points: MIN attributes sign-flipped.
+  for (std::vector<Point>& points : groups) {
+    for (Point& p : points) {
+      for (size_t d = 1; c.mixed_prefs && d < c.dims; d += 2) p[d] = -p[d];
+    }
+  }
+  const testing::OracleResult oracle = testing::ComputeOracle(
+      core::GroupedDataset::FromPoints(groups, labels),
+      core::GammaThresholds::FromGamma(c.gamma));
+  std::set<std::string> expected;
+  for (uint32_t id : oracle.skyline) expected.insert(labels[id]);
+  EXPECT_EQ(served, expected) << sql;
+  EXPECT_LT(expected.size(), groups.size()) << "nothing was dominated";
+}
+
+std::vector<OracleCase> OracleCases() {
+  std::vector<OracleCase> cases;
+  bool mixed = false;
+  for (datagen::Distribution distribution :
+       {datagen::Distribution::kAntiCorrelated,
+        datagen::Distribution::kIndependent}) {
+    for (size_t dims : {2, 3, 4}) {
+      for (double gamma : {0.5, 0.7, 0.9}) {
+        cases.push_back({distribution, dims, gamma, mixed});
+        mixed = !mixed;
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededTables, SqlSkylineOracleTest,
+                         ::testing::ValuesIn(OracleCases()));
 
 }  // namespace
 }  // namespace galaxy::sql
