@@ -33,6 +33,95 @@ Status CheckRowAgainstSchema(const Schema& schema, const Row& row) {
   return Status::OK();
 }
 
+// One FindRow cell, dispatched once on (column type, value type) so the
+// row scan compares typed cells without boxing. Matches exactly when
+// Value::operator== would: int and double compare numerically (so NaN never
+// matches), NULL matches only NULL, and a type mismatch never matches.
+class CellProbe {
+ public:
+  CellProbe(const Column& col, const Value& v) : col_(col) {
+    const ValueType t = col.type();
+    switch (v.type()) {
+      case ValueType::kNull:
+        kind_ = Kind::kNull;
+        break;
+      case ValueType::kInt64:
+        if (t == ValueType::kInt64) {
+          kind_ = Kind::kInt;
+          int_ = v.AsInt64();
+        } else if (t == ValueType::kDouble) {
+          kind_ = Kind::kDouble;
+          double_ = static_cast<double>(v.AsInt64());
+        }
+        break;
+      case ValueType::kDouble:
+        if (t == ValueType::kInt64) {
+          kind_ = Kind::kIntAsDouble;
+          double_ = v.AsDouble();
+        } else if (t == ValueType::kDouble) {
+          kind_ = Kind::kDouble;
+          double_ = v.AsDouble();
+        }
+        break;
+      case ValueType::kString:
+        if (t == ValueType::kString) {
+          kind_ = Kind::kString;
+          string_ = &v.AsString();
+        }
+        break;
+    }
+    if (kind_ == Kind::kNull && col.null_count() == 0) kind_ = Kind::kNever;
+    switch (kind_) {
+      case Kind::kInt:
+      case Kind::kIntAsDouble:
+        ints_ = col.ints();
+        break;
+      case Kind::kDouble:
+        doubles_ = col.doubles();
+        break;
+      case Kind::kString:
+        strings_ = col.strings();
+        break;
+      case Kind::kNever:
+      case Kind::kNull:
+        break;
+    }
+  }
+
+  /// True when no cell can match.
+  bool never() const { return kind_ == Kind::kNever; }
+
+  bool Matches(size_t r) const {
+    if (col_.is_null(r)) return kind_ == Kind::kNull;
+    switch (kind_) {
+      case Kind::kInt:
+        return ints_[r] == int_;
+      case Kind::kIntAsDouble:
+        return static_cast<double>(ints_[r]) == double_;
+      case Kind::kDouble:
+        return doubles_[r] == double_;
+      case Kind::kString:
+        return strings_[r] == *string_;
+      case Kind::kNull:
+      case Kind::kNever:
+        break;
+    }
+    return false;
+  }
+
+ private:
+  enum class Kind { kNever, kNull, kInt, kIntAsDouble, kDouble, kString };
+
+  const Column& col_;
+  Kind kind_ = Kind::kNever;
+  int64_t int_ = 0;
+  double double_ = 0.0;
+  const std::string* string_ = nullptr;
+  std::span<const int64_t> ints_;
+  std::span<const double> doubles_;
+  std::span<const std::string> strings_;
+};
+
 }  // namespace
 
 Table::Table(Schema schema, std::vector<Column> columns)
@@ -96,10 +185,16 @@ std::vector<Row> Table::DebugRows() const {
 
 std::optional<size_t> Table::FindRow(const Row& row) const {
   if (row.size() != columns_.size()) return std::nullopt;
+  std::vector<CellProbe> probes;
+  probes.reserve(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    probes.emplace_back(columns_[c], row[c]);
+    if (probes.back().never()) return std::nullopt;
+  }
   for (size_t r = 0; r < num_rows_; ++r) {
     bool match = true;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (!(columns_[c].GetValue(r) == row[c])) {
+    for (const CellProbe& probe : probes) {
+      if (!probe.Matches(r)) {
         match = false;
         break;
       }
@@ -111,7 +206,7 @@ std::optional<size_t> Table::FindRow(const Row& row) const {
 
 Result<Table> Table::CopyWithAppended(const Row& row) const {
   GALAXY_RETURN_IF_ERROR(CheckRowAgainstSchema(schema_, row));
-  std::vector<Column> columns = columns_;
+  std::vector<Column> columns = columns_;  // shares every buffer: O(columns)
   for (size_t c = 0; c < columns.size(); ++c) {
     columns[c].AppendValue(row[c]);
   }
@@ -123,19 +218,10 @@ Result<Table> Table::CopyWithRemoved(const Row& row) const {
   if (!target.has_value()) {
     return Status::NotFound("no row matching the remove body");
   }
-  // Columns have no erase primitive (they are append-only); rebuild each
-  // column skipping the removed row. Same O(rows) as the old row-vector
-  // erase, without boxing cells.
   std::vector<Column> columns;
   columns.reserve(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    Column col{columns_[c].type()};
-    col.Reserve(num_rows_ - 1);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      if (r == *target) continue;
-      col.AppendValue(columns_[c].GetValue(r));
-    }
-    columns.push_back(std::move(col));
+  for (const Column& col : columns_) {
+    columns.push_back(col.CopyWithout(*target));
   }
   return Table(schema_, std::move(columns));
 }
@@ -181,10 +267,11 @@ Result<Table::NumericColumns> Table::ExtractNumericColumns(
     }
     switch (col.type()) {
       case ValueType::kDouble:
-        out.slices.emplace_back(col.doubles().data(), col.doubles().size());
+        out.slices.push_back(col.doubles());
         break;
       case ValueType::kInt64: {
-        std::vector<double> converted(col.ints().begin(), col.ints().end());
+        std::span<const int64_t> ints = col.ints();
+        std::vector<double> converted(ints.begin(), ints.end());
         out.owned.push_back(std::move(converted));
         out.slices.emplace_back(out.owned.back().data(),
                                 out.owned.back().size());

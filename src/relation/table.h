@@ -61,13 +61,16 @@ class Table {
   std::vector<Row> DebugRows() const;
 
   /// Index of the first row equal to `row` (Value equality, so int 3
-  /// matches double 3.0), or nullopt.
+  /// matches double 3.0, NULL matches NULL and NaN matches nothing), or
+  /// nullopt. Compares typed cells; nothing is boxed.
   std::optional<size_t> FindRow(const Row& row) const;
 
-  /// Copy-on-write helpers for the immutable-snapshot update path: clone
-  /// the column vectors with one row appended / removed, without
-  /// re-boxing the table through rows. Appends type-check like
-  /// TableBuilder::TryAddRow; removal targets the first FindRow match.
+  /// Copy-on-write helpers for the immutable-snapshot update path; `this`
+  /// stays valid and unchanged. CopyWithAppended shares every column buffer
+  /// and appends at its tip (O(columns); see Column for when an append
+  /// copies instead) and type-checks like TableBuilder::TryAddRow.
+  /// CopyWithRemoved copies the typed columns minus the first FindRow
+  /// match, keeping the order of the rest.
   Result<Table> CopyWithAppended(const Row& row) const;
   Result<Table> CopyWithRemoved(const Row& row) const;
 

@@ -554,9 +554,10 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
   Result<Row> row = ParseCsvRowForSchema(table.schema(), request.body);
   if (!row.ok()) return JsonError(400, row.status());
 
-  // Copy-on-write install at column granularity: the new snapshot clones
-  // the typed column vectors with one row appended/removed, never boxing
-  // the table through rows.
+  // Copy-on-write install: an insert shares every column buffer with the
+  // pinned snapshot and appends at its tip (O(columns)); a remove copies
+  // the typed columns minus the matched row. Neither boxes the table
+  // through rows, and readers of `table` see no change.
   Result<Table> next_table =
       insert ? table.CopyWithAppended(*row) : table.CopyWithRemoved(*row);
   if (!next_table.ok()) {

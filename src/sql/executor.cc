@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <cctype>
 #include <unordered_map>
@@ -499,7 +500,7 @@ void FoldColumnAgg(const Column& col, const std::vector<uint32_t>& rows,
     case ValueType::kNull:
       return;
     case ValueType::kInt64: {
-      const std::vector<int64_t>& v = col.ints();
+      std::span<const int64_t> v = col.ints();
       bool any = false;
       int64_t mn = 0, mx = 0, sum = 0;
       uint64_t nn = 0;
@@ -524,7 +525,7 @@ void FoldColumnAgg(const Column& col, const std::vector<uint32_t>& rows,
       return;
     }
     case ValueType::kDouble: {
-      const std::vector<double>& v = col.doubles();
+      std::span<const double> v = col.doubles();
       bool any = false;
       double mn = 0.0, mx = 0.0, sum = 0.0;
       uint64_t nn = 0;
@@ -550,7 +551,7 @@ void FoldColumnAgg(const Column& col, const std::vector<uint32_t>& rows,
       return;
     }
     case ValueType::kString: {
-      const std::vector<std::string>& v = col.strings();
+      std::span<const std::string> v = col.strings();
       const std::string* mn = nullptr;
       const std::string* mx = nullptr;
       uint64_t nn = 0;
@@ -745,7 +746,7 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
     case ColumnPredicate::Kind::kCmpConst: {
       if (l.type() == ValueType::kString) {
         const std::string& lit = p.constant.AsString();
-        const std::vector<std::string>& v = l.strings();
+        std::span<const std::string> v = l.strings();
         for (uint32_t r : s) {
           if (!l.is_null(r) && ComparePass(p.op, v[r], lit)) s[w++] = r;
         }
@@ -753,7 +754,7 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
                  p.constant.type() == ValueType::kInt64) {
         // int-vs-int compares integrally (Value semantics: no promotion).
         const int64_t lit = p.constant.AsInt64();
-        const std::vector<int64_t>& v = l.ints();
+        std::span<const int64_t> v = l.ints();
         for (uint32_t r : s) {
           if (!l.is_null(r) && ComparePass(p.op, v[r], lit)) s[w++] = r;
         }
@@ -762,7 +763,7 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
                                ? static_cast<double>(p.constant.AsInt64())
                                : p.constant.AsDouble();
         if (l.type() == ValueType::kInt64) {
-          const std::vector<int64_t>& v = l.ints();
+          std::span<const int64_t> v = l.ints();
           for (uint32_t r : s) {
             if (!l.is_null(r) &&
                 ComparePass(p.op, static_cast<double>(v[r]), lit)) {
@@ -770,7 +771,7 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
             }
           }
         } else {
-          const std::vector<double>& v = l.doubles();
+          std::span<const double> v = l.doubles();
           for (uint32_t r : s) {
             if (!l.is_null(r) && ComparePass(p.op, v[r], lit)) s[w++] = r;
           }
@@ -781,8 +782,8 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
     case ColumnPredicate::Kind::kCmpCol: {
       const Column& rc = table.column(p.rhs);
       if (l.type() == ValueType::kString) {  // both string (checked above)
-        const std::vector<std::string>& a = l.strings();
-        const std::vector<std::string>& b = rc.strings();
+        std::span<const std::string> a = l.strings();
+        std::span<const std::string> b = rc.strings();
         for (uint32_t r : s) {
           if (!l.is_null(r) && !rc.is_null(r) &&
               ComparePass(p.op, a[r], b[r])) {
@@ -791,8 +792,8 @@ void ApplyPredicate(const ColumnPredicate& p, const Table& table,
         }
       } else if (l.type() == ValueType::kInt64 &&
                  rc.type() == ValueType::kInt64) {
-        const std::vector<int64_t>& a = l.ints();
-        const std::vector<int64_t>& b = rc.ints();
+        std::span<const int64_t> a = l.ints();
+        std::span<const int64_t> b = rc.ints();
         for (uint32_t r : s) {
           if (!l.is_null(r) && !rc.is_null(r) &&
               ComparePass(p.op, a[r], b[r])) {
@@ -849,7 +850,7 @@ Column GatherColumn(const Column& src, const std::vector<uint32_t>& rows) {
       for (size_t i = 0; i < rows.size(); ++i) out.AppendNull();
       break;
     case ValueType::kInt64: {
-      const std::vector<int64_t>& v = src.ints();
+      std::span<const int64_t> v = src.ints();
       for (uint32_t r : rows) {
         if (src.is_null(r)) {
           out.AppendNull();
@@ -860,7 +861,7 @@ Column GatherColumn(const Column& src, const std::vector<uint32_t>& rows) {
       break;
     }
     case ValueType::kDouble: {
-      const std::vector<double>& v = src.doubles();
+      std::span<const double> v = src.doubles();
       for (uint32_t r : rows) {
         if (src.is_null(r)) {
           out.AppendNull();
@@ -871,7 +872,7 @@ Column GatherColumn(const Column& src, const std::vector<uint32_t>& rows) {
       break;
     }
     case ValueType::kString: {
-      const std::vector<std::string>& v = src.strings();
+      std::span<const std::string> v = src.strings();
       for (uint32_t r : rows) {
         if (src.is_null(r)) {
           out.AppendNull();
@@ -1317,10 +1318,10 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
       if (e->kind == ExprKind::kColumnRef && e->bound_slot >= 0) {
         const Column& col = t0.column(static_cast<size_t>(e->bound_slot));
         if (col.type() == ValueType::kDouble && !col.has_nulls()) {
-          const std::vector<double>& v = col.doubles();
+          std::span<const double> v = col.doubles();
           for (size_t i = 0; i < sel.size(); ++i) out[i] = v[sel[i]];
         } else if (col.type() == ValueType::kInt64 && !col.has_nulls()) {
-          const std::vector<int64_t>& v = col.ints();
+          std::span<const int64_t> v = col.ints();
           for (size_t i = 0; i < sel.size(); ++i) {
             out[i] = static_cast<double>(v[sel[i]]);
           }
@@ -1434,7 +1435,7 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
                               : ValueType::kNull;
         if (single != nullptr && key_type == ValueType::kString) {
           const Column& col = t0.column(single->bound_slot);
-          const std::vector<std::string>& v = col.strings();
+          std::span<const std::string> v = col.strings();
           std::unordered_map<std::string_view, uint32_t> gids;
           uint32_t null_gid = UINT32_MAX;
           for (size_t i = 0; i < sel.size(); ++i) {
@@ -1458,7 +1459,7 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
           }
         } else if (single != nullptr && key_type == ValueType::kInt64) {
           const Column& col = t0.column(single->bound_slot);
-          const std::vector<int64_t>& v = col.ints();
+          std::span<const int64_t> v = col.ints();
           std::unordered_map<int64_t, uint32_t> gids;
           uint32_t null_gid = UINT32_MAX;
           for (size_t i = 0; i < sel.size(); ++i) {

@@ -67,8 +67,9 @@ Status ApplyUpdateRecord(sql::Database* db, const UpdateRecord& record) {
   const Table& table = *snapshot;
   GALAXY_ASSIGN_OR_RETURN(Row row,
                           ParseCsvRowForSchema(table.schema(), record.row_csv));
-  // Copy-on-write at column granularity: clone the column vectors with the
-  // row appended/removed instead of re-boxing every cell through rows.
+  // Copy-on-write, as on the serving path: an insert appends at the tip
+  // of column buffers shared with the previous version, a remove copies
+  // the typed columns minus one row. Nothing is boxed through rows.
   Result<Table> next = record.insert ? table.CopyWithAppended(row)
                                      : table.CopyWithRemoved(row);
   if (!next.ok()) {

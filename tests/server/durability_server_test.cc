@@ -247,5 +247,36 @@ TEST_F(DurabilityServerTest, ViewRefreshesAreCoalescedAcrossUpdateBursts) {
   EXPECT_EQ(MetricValue(Scrape(), "galaxy_view_refreshes_total"), 1.0);
 }
 
+TEST_F(DurabilityServerTest, RefusedInsertLeavesNoTraceInLaterVersions) {
+  SkylineViewConfig config;
+  config.table = "t";
+  config.group_column = "g";
+  config.attrs = {"x", "y"};
+  ASSERT_TRUE(server_->EnableSkylineView(config).ok());
+  std::shared_ptr<const Table> before = *db_->GetTable("t");
+
+  // A NULL skyline attribute is refused by view validation after the new
+  // version was built: its non-NULL cells already took the tip slot of
+  // their shared column buffers, and the version is discarded.
+  EXPECT_EQ(server_->Handle(UpdateReq("insert", "g8,,1.5")).status, 400);
+  EXPECT_EQ(server_->Handle(UpdateReq("insert", "g8,8,")).status, 400);
+  EXPECT_EQ(server_->Handle(UpdateReq("insert", "g9,9,7.5")).status, 200);
+
+  std::shared_ptr<const Table> after = *db_->GetTable("t");
+  const std::vector<Row> expect_before = {{"g0", int64_t{10}, 1.5},
+                                          {"g1", int64_t{20}, 2.5}};
+  std::vector<Row> expect_after = expect_before;
+  expect_after.push_back({"g9", int64_t{9}, 7.5});
+  EXPECT_EQ(before->DebugRows(), expect_before);
+  EXPECT_EQ(after->DebugRows(), expect_after);
+  for (size_t c = 0; c < after->num_columns(); ++c) {
+    EXPECT_FALSE(after->column(c).has_nulls()) << "column " << c;
+  }
+  EXPECT_EQ(RecoveredRows(),
+            std::vector<std::string>({"g0,10", "g1,20", "g9,9"}));
+  EXPECT_EQ(server_->Handle(Req("GET /skyline HTTP/1.1\r\n\r\n")).status,
+            200);
+}
+
 }  // namespace
 }  // namespace galaxy::server

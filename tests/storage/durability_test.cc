@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,6 +114,50 @@ TEST(Durability, LoggedUpdatesReplayInOrder) {
   ASSERT_NE(manager, nullptr);
   EXPECT_EQ(manager->recovery_info().replayed_records, 3u);
   EXPECT_EQ(TableRows(db), std::vector<std::string>({"b,2", "c,3", "d,4"}));
+}
+
+TEST(Durability, LongWalReplaysAppendsAndRemovesInOrder) {
+  // Replay installs one table version per record: a run of inserts appends
+  // at the column buffers' tip, removes copy the typed columns minus one
+  // row, and the inserts after them append to the removes' buffers.
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::vector<std::string> expected = {"a,1", "b,2"};
+  size_t logged = 0;
+  {
+    sql::Database db;
+    auto manager = MustOpen(env.get(), &db);
+    ASSERT_NE(manager, nullptr);
+    db.Register("t", SeedTable());
+    ASSERT_TRUE(manager->Bootstrap().ok());
+    auto log = [&](const UpdateRecord& record) {
+      ASSERT_TRUE(manager->LogUpdate(record).ok());
+      ++logged;
+      if (record.insert) {
+        expected.push_back(record.row_csv);
+      } else {
+        auto it = std::find(expected.begin(), expected.end(), record.row_csv);
+        ASSERT_NE(it, expected.end()) << record.row_csv;
+        expected.erase(it);
+      }
+    };
+    for (int i = 0; i < 300; ++i) {
+      log(Insert("r" + std::to_string(i) + "," + std::to_string(i)));
+      if (i == 40 || i == 200) log(Insert("dup,7"));
+    }
+    for (const char* row : {"r10,10", "dup,7", "r299,299", "a,1", "r150,150"}) {
+      log(Remove(row));
+    }
+    for (int i = 0; i < 50; ++i) {
+      log(Insert("s" + std::to_string(i) + "," + std::to_string(i)));
+    }
+    log(Remove("s0,0"));
+    log(Insert("tail,1"));
+  }
+  sql::Database db;
+  auto manager = MustOpen(env.get(), &db);
+  ASSERT_NE(manager, nullptr);
+  EXPECT_EQ(manager->recovery_info().replayed_records, logged);
+  EXPECT_EQ(TableRows(db), expected);
 }
 
 TEST(Durability, TornWalTailIsTruncatedAndAppendsContinue) {
