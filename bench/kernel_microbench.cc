@@ -1,11 +1,10 @@
 // Microbenchmark of the dominance-counting kernels (core/count_kernel.h):
 // raw CountBlock throughput against the scalar per-pair loop across
-// dimensionalities and distributions, ClassifyPair under each KernelPolicy,
-// and the parallel operator end to end. Emits a machine-readable JSON
-// report (default BENCH_kernel.json) whose speedup ratios — not absolute
-// times — feed the CI regression gate (scripts/check_bench_regression.py);
-// ratios compare two code paths on the same machine and stay stable across
-// hardware.
+// dimensionalities and distributions, and ClassifyPair under each
+// KernelPolicy. Emits a machine-readable JSON report (default
+// BENCH_kernel.json) whose speedup ratios — not absolute times — feed the
+// CI regression gate (scripts/check_bench_regression.py); ratios compare
+// two code paths on the same machine and stay stable across hardware.
 //
 // Usage: kernel_microbench [--quick] [--out=PATH]
 //   --quick   smaller workloads and shorter timing windows (CI smoke mode)
@@ -25,7 +24,6 @@
 #include "core/count_kernel.h"
 #include "core/gamma.h"
 #include "core/group.h"
-#include "core/parallel.h"
 #include "skyline/dominance.h"
 
 namespace galaxy::bench {
@@ -216,63 +214,6 @@ int Main(int argc, char** argv) {
       PrintEntry(e);
       entries.push_back(std::move(e));
     }
-  }
-
-  // ---- Parallel operator end to end (Zipf-skewed group sizes). -----------
-  {
-    datagen::GroupedWorkloadConfig config;
-    config.num_records = quick ? 6000 : 40000;
-    config.avg_records_per_group = 100;
-    config.dims = 4;
-    config.distribution = datagen::Distribution::kIndependent;
-    config.size_model = datagen::GroupSizeModel::kZipf;
-    config.seed = 7;
-    const core::GroupedDataset& dataset = CachedWorkload(config);
-
-    core::ParallelOptions single;
-    single.num_threads = 1;
-    core::ParallelOptions full;  // hardware concurrency
-
-    // Steady-state warm-up: the first full-parallel call pays the global
-    // pool's one-time thread spin-up; TimeOp's built-in single warm-up
-    // call is not enough to also fault in the workload's caches on every
-    // worker, so run both configurations once before either is timed —
-    // the bench reports steady-state speedup, not pool start-up cost.
-    g_sink += core::ComputeAggregateSkylineParallel(dataset, full)
-                  .skyline.size();
-    g_sink += core::ComputeAggregateSkylineParallel(dataset, single)
-                  .skyline.size();
-
-    // A single end-to-end run is tens of milliseconds, so the quick window
-    // would time only one or two calls and the speedup ratio would be
-    // dominated by scheduling noise; give this entry a longer window.
-    const double parallel_window = std::max(window, 0.25);
-    double single_s = TimeOp(
-        [&] {
-          auto result = core::ComputeAggregateSkylineParallel(dataset, single);
-          g_sink += result.skyline.size();
-        },
-        parallel_window);
-
-    uint64_t stolen = 0;
-    uint64_t split = 0;
-    double full_s = TimeOp(
-        [&] {
-          auto result = core::ComputeAggregateSkylineParallel(dataset, full);
-          g_sink += result.skyline.size();
-          stolen = result.stats.chunks_stolen;
-          split = result.stats.pairs_split;
-        },
-        parallel_window);
-    BenchJsonEntry e;
-    e.name = "parallel_zipf_d4";
-    e.metrics.emplace_back("seconds_single", single_s);
-    e.metrics.emplace_back("seconds_full", full_s);
-    e.metrics.emplace_back("parallel_speedup", single_s / full_s);
-    e.metrics.emplace_back("chunks_stolen", static_cast<double>(stolen));
-    e.metrics.emplace_back("pairs_split", static_cast<double>(split));
-    PrintEntry(e);
-    entries.push_back(std::move(e));
   }
 
   if (out_path != "-") {

@@ -9,7 +9,6 @@
 #include "core/algo_context.h"
 #include "core/anytime.h"
 #include "core/gamma.h"
-#include "core/parallel.h"
 
 namespace galaxy::core {
 
@@ -27,8 +26,6 @@ const char* AlgorithmToString(Algorithm algorithm) {
       return "IN";
     case Algorithm::kIndexedBbox:
       return "LO";
-    case Algorithm::kParallel:
-      return "PAR";
     case Algorithm::kAuto:
       return "AUTO";
   }
@@ -57,8 +54,6 @@ std::string AggregateSkylineStats::ToString() const {
   out += " mbb_shortcuts=" + std::to_string(mbb_shortcuts);
   out += " stopped_early=" + std::to_string(stopped_early);
   out += " records_preclassified=" + std::to_string(records_preclassified);
-  out += " chunks_stolen=" + std::to_string(chunks_stolen);
-  out += " pairs_split=" + std::to_string(pairs_split);
   out += " wall_s=" + std::to_string(wall_seconds);
   return out;
 }
@@ -93,21 +88,10 @@ AggregateSkylineOptions ResolveAlgorithm(
 }
 
 // One dispatch of an already-resolved algorithm; honors effective.exec if
-// set (workers unwind once it stops, leaving sound partial marks).
+// set (the run unwinds once it stops, leaving sound partial marks).
 AggregateSkylineResult RunResolved(const GroupedDataset& dataset,
                                    const AggregateSkylineOptions& effective) {
   WallTimer timer;
-
-  if (effective.algorithm == Algorithm::kParallel) {
-    ParallelOptions parallel_options;
-    parallel_options.gamma = effective.gamma;
-    parallel_options.use_stop_rule = effective.use_stop_rule;
-    parallel_options.use_mbb = effective.use_mbb;
-    parallel_options.exec = effective.exec;
-    parallel_options.kernel = effective.kernel;
-    return ComputeAggregateSkylineParallel(dataset, parallel_options);
-  }
-
   AggregateSkylineResult result;
   result.algorithm_used = effective.algorithm;
   internal::AlgoContext ctx(dataset, effective, &result.stats);
@@ -129,7 +113,6 @@ AggregateSkylineResult RunResolved(const GroupedDataset& dataset,
     case Algorithm::kIndexedBbox:
       internal::RunIndexed(ctx);
       break;
-    case Algorithm::kParallel:
     case Algorithm::kAuto:
       GALAXY_CHECK(false) << "resolved before dispatch";
       break;

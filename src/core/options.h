@@ -24,12 +24,6 @@ enum class Algorithm {
   kIndexed,
   /// Algorithm 5 + bounding-box internal approximation ("LO").
   kIndexedBbox,
-  /// The multi-threaded exact operator ("PAR", core/parallel.h): the
-  /// group-pair space striped across worker threads. Selecting it through
-  /// ComputeAggregateSkyline runs ComputeAggregateSkylineParallel with
-  /// hardware-concurrency threads; results report this identifier so bench
-  /// output and ablations attribute the parallel path correctly.
-  kParallel,
   /// Adaptive: profiles the workload and picks kSorted or kIndexedBbox
   /// (plus an ordering) per core/adaptive.h — the "customized query
   /// optimization" direction of the paper's concluding remarks.
@@ -132,9 +126,6 @@ struct AggregateSkylineStats {
   uint64_t stopped_early = 0;           ///< pairs ended by the stopping rule
   uint64_t records_preclassified = 0;   ///< records the MBB corner test kept
                                         ///< out of the pairwise scans
-  uint64_t chunks_stolen = 0;           ///< parallel: work-stealing rebalances
-  uint64_t pairs_split = 0;             ///< parallel: giant pairs whose tile
-                                        ///< grid was split across workers
   double wall_seconds = 0.0;
 
   std::string ToString() const;

@@ -23,7 +23,7 @@ struct AdmissionOptions {
 /// Gates query execution: at most `max_concurrent` queries run, at most
 /// `queue_capacity` wait, everyone else is turned away immediately. This
 /// is the server's overload story — under a traffic spike the queue fills,
-/// latecomers get a fast 429 instead of piling onto the thread pool, and
+/// latecomers get a fast 429 instead of piling onto the worker pool, and
 /// the queue bound keeps worst-case queueing delay proportional to
 /// queue_capacity / throughput.
 ///

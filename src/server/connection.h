@@ -73,7 +73,7 @@ struct ConnectionMetrics {
 };
 
 struct EventEngineOptions {
-  /// Query-execution worker threads (separate from core::ThreadPool).
+  /// Query-execution worker threads.
   size_t workers = 4;
   bool use_epoll = true;
   /// A connection is closed when no *complete* request arrives within this

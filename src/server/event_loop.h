@@ -99,9 +99,7 @@ class TimerWheel {
 /// order. This is the serving layer's query-execution pool: the event loop
 /// hands parsed requests to it so a query blocking on an
 /// ExecutionContext deadline (or on admission control) never stalls
-/// network I/O. Deliberately separate from core::ThreadPool — that pool's
-/// Run is not reentrant and the parallel skyline operator already executes
-/// on it, so queries must not originate there.
+/// network I/O.
 class WorkerPool {
  public:
   explicit WorkerPool(size_t num_threads);

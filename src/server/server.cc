@@ -155,9 +155,6 @@ Server::Server(sql::Database* db, const ServerOptions& options)
   sky_stopped_early_ = metrics_.AddCounter(
       "galaxy_skyline_stopped_early_total",
       "group pairs ended early by the stopping rule");
-  sky_chunks_stolen_ = metrics_.AddCounter(
-      "galaxy_skyline_chunks_stolen_total",
-      "work-stealing rebalances in parallel skyline runs");
   sky_window_candidates_ = metrics_.AddCounter(
       "galaxy_skyline_window_candidates_total",
       "candidate groups returned by the indexed skyline's window queries");
@@ -183,9 +180,6 @@ Server::Server(sql::Database* db, const ServerOptions& options)
                                    "queries waiting for an execution slot");
   cache_entries_gauge_ =
       metrics_.AddGauge("galaxy_result_cache_entries", "cached results");
-  cache_hit_ratio_ = metrics_.AddGauge(
-      "galaxy_cache_hit_ratio_percent",
-      "result-cache hits per hundred lookups since start");
   cache_evictions_ = metrics_.AddGauge("galaxy_cache_evictions_total",
                                        "result-cache LRU evictions");
   cache_invalidations_ = metrics_.AddGauge(
@@ -193,8 +187,6 @@ Server::Server(sql::Database* db, const ServerOptions& options)
       "result-cache entries dropped because a table version changed");
   uptime_seconds_ =
       metrics_.AddGauge("galaxy_uptime_seconds", "seconds since start");
-  qps_ = metrics_.AddGauge("galaxy_qps",
-                           "average requests per second since start");
   wal_appends_total_ = metrics_.AddCounter(
       "galaxy_wal_appends_total", "update records made durable in the WAL");
   wal_bytes_total_ = metrics_.AddCounter(
@@ -499,7 +491,6 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   sky_group_pairs_->Inc(stats.skyline_stats.group_pairs_classified);
   sky_mbb_shortcuts_->Inc(stats.skyline_stats.mbb_shortcuts);
   sky_stopped_early_->Inc(stats.skyline_stats.stopped_early);
-  sky_chunks_stolen_->Inc(stats.skyline_stats.chunks_stolen);
   sky_window_candidates_->Inc(stats.skyline_stats.window_candidates);
   sky_pairs_skipped_dedup_->Inc(stats.skyline_stats.pairs_skipped_dedup);
 
@@ -783,11 +774,6 @@ HttpResponse Server::HandleMetrics() {
   cache_entries_gauge_->Set(static_cast<int64_t>(cache_.size()));
   cache_evictions_->Set(static_cast<int64_t>(cache_stats.evictions));
   cache_invalidations_->Set(static_cast<int64_t>(cache_stats.invalidations));
-  const uint64_t lookups = cache_stats.hits + cache_stats.misses;
-  cache_hit_ratio_->Set(
-      lookups == 0
-          ? 0
-          : static_cast<int64_t>(cache_stats.hits * 100 / lookups));
   active_queries_->Set(static_cast<int64_t>(admission_.active()));
   queue_depth_->Set(static_cast<int64_t>(admission_.queued()));
   const double uptime =
@@ -795,10 +781,6 @@ HttpResponse Server::HandleMetrics() {
                                     start_time_)
           .count();
   uptime_seconds_->Set(static_cast<int64_t>(uptime));
-  qps_->Set(uptime <= 0.0
-                ? 0
-                : static_cast<int64_t>(
-                      static_cast<double>(requests_total_->value()) / uptime));
 
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";

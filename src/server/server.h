@@ -93,10 +93,8 @@ struct ServerOptions {
 /// small WorkerPool, and responses come back to the loop through a wakeup
 /// pipe to be written with EPOLLOUT-driven buffering and per-connection
 /// backpressure. Open connections therefore cost a few KB, not a thread.
-/// The worker pool is deliberately separate from core::ThreadPool: that
-/// pool's Run is not reentrant and the parallel skyline operator already
-/// executes on it, so queries must not originate there. Admission control
-/// (server/admission.h) still bounds concurrent query execution.
+/// Admission control (server/admission.h) still bounds concurrent query
+/// execution.
 ///
 /// The Database outlives the server and may also be read/updated directly
 /// by the embedding process (it is internally synchronized).
@@ -207,18 +205,15 @@ class Server {
   Counter* sky_group_pairs_;
   Counter* sky_mbb_shortcuts_;
   Counter* sky_stopped_early_;
-  Counter* sky_chunks_stolen_;
   Counter* sky_window_candidates_;
   Counter* sky_pairs_skipped_dedup_;
   Histogram* query_latency_;
   Gauge* active_queries_;
   Gauge* queue_depth_;
   Gauge* cache_entries_gauge_;
-  Gauge* cache_hit_ratio_;
   Gauge* cache_evictions_;
   Gauge* cache_invalidations_;
   Gauge* uptime_seconds_;
-  Gauge* qps_;
   Counter* wal_appends_total_;
   Counter* wal_bytes_total_;
   Counter* durability_errors_total_;

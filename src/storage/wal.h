@@ -119,9 +119,8 @@ class WalWriter {
       REQUIRES(mutex_);
 
   /// Takes the pending batch and commits it (write + sync per policy),
-  /// releasing the mutex around the file I/O (thread_pool.cc's
-  /// unlock-around-body idiom). On failure poisons the log. Callers must
-  /// have checked `!writing_`.
+  /// releasing the mutex around the file I/O. On failure poisons the log.
+  /// Callers must have checked `!writing_`.
   Status CommitPending(bool force_sync) REQUIRES(mutex_);
 
   Env* const env_;

@@ -24,8 +24,6 @@ const char* AlgorithmEnumLiteral(core::Algorithm algorithm) {
       return "core::Algorithm::kIndexed";
     case core::Algorithm::kIndexedBbox:
       return "core::Algorithm::kIndexedBbox";
-    case core::Algorithm::kParallel:
-      return "core::Algorithm::kParallel";
     case core::Algorithm::kAuto:
       return "core::Algorithm::kAuto";
   }
@@ -64,35 +62,18 @@ std::string DescribeGroup(const core::GroupedDataset& dataset, uint32_t id) {
 
 bool DifferentialConfig::exact() const {
   // BF/NL classify every unordered pair; safe mode disables the only
-  // unsound skip; the parallel operator classifies every pair that could
-  // change a mark.
-  return parallel || algorithm == core::Algorithm::kBruteForce ||
+  // unsound skip.
+  return algorithm == core::Algorithm::kBruteForce ||
          algorithm == core::Algorithm::kNestedLoop ||
          !prune_strongly_dominated;
 }
 
 std::string DifferentialConfig::Name() const {
-  std::string out;
-  if (parallel) {
-    out = "PAR threads=" + std::to_string(num_threads) +
-          " skip=" + std::to_string(skip_settled_pairs ? 1 : 0);
-    if (pair_chunk != 0) out += " chunk=" + std::to_string(pair_chunk);
-    if (chunk_cost_target != 0) {
-      out += " cost=" + std::to_string(chunk_cost_target);
-    }
-    if (sequential_cutoff_cost != 0) {
-      out += " cutoff=" + std::to_string(sequential_cutoff_cost);
-    }
-    if (giant_pair_min_cost != 0) {
-      out += " giant=" + std::to_string(giant_pair_min_cost);
-    }
-  } else {
-    out = core::AlgorithmToString(algorithm);
-    out += " prune=" + std::to_string(prune_strongly_dominated ? 1 : 0);
-    if (ordering != core::GroupOrdering::kCornerDistance) {
-      out += " ord=";
-      out += core::GroupOrderingToString(ordering);
-    }
+  std::string out = core::AlgorithmToString(algorithm);
+  out += " prune=" + std::to_string(prune_strongly_dominated ? 1 : 0);
+  if (ordering != core::GroupOrdering::kCornerDistance) {
+    out += " ord=";
+    out += core::GroupOrderingToString(ordering);
   }
   out += " mbb=" + std::to_string(use_mbb ? 1 : 0) +
          " stop=" + std::to_string(use_stop_rule ? 1 : 0);
@@ -152,21 +133,28 @@ std::vector<DifferentialConfig> AllConfigurations() {
     out.push_back(c);
   }
 
-  // Every explicit counting kernel must reproduce the exact NL result no
+  // Every explicit counting kernel must reproduce the exact result no
   // matter which knobs steer the scan: with the stop rule (early exits mid
-  // scan) and with MBB residuals plus exhaustive scans. kSweep2D silently
-  // tiles on non-2D data, which is itself part of the contract.
+  // scan) and with MBB residuals plus exhaustive scans. NL classifies every
+  // pair; safe-mode IN is the served configuration (GROUP BY … SKYLINE OF),
+  // whose probe exit and window queries reorder the kernel's work.
+  // kSweep2D silently tiles on non-2D data, which is itself part of the
+  // contract.
   for (core::KernelPolicy kernel :
        {core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
         core::KernelPolicy::kSorted, core::KernelPolicy::kSweep2D}) {
-    for (auto [mbb, stop] : {std::pair<bool, bool>{false, true},
-                             std::pair<bool, bool>{true, false}}) {
-      DifferentialConfig c;
-      c.algorithm = core::Algorithm::kNestedLoop;
-      c.kernel = kernel;
-      c.use_mbb = mbb;
-      c.use_stop_rule = stop;
-      out.push_back(c);
+    for (core::Algorithm algorithm :
+         {core::Algorithm::kNestedLoop, core::Algorithm::kIndexed}) {
+      for (auto [mbb, stop] : {std::pair<bool, bool>{false, true},
+                               std::pair<bool, bool>{true, false}}) {
+        DifferentialConfig c;
+        c.algorithm = algorithm;
+        c.prune_strongly_dominated = algorithm != core::Algorithm::kIndexed;
+        c.kernel = kernel;
+        c.use_mbb = mbb;
+        c.use_stop_rule = stop;
+        out.push_back(c);
+      }
     }
   }
   // One pruned-algorithm cross-check: the sorted kernel under the sorted
@@ -177,102 +165,12 @@ std::vector<DifferentialConfig> AllConfigurations() {
     c.kernel = core::KernelPolicy::kSorted;
     out.push_back(c);
   }
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (bool skip : {false, true}) {
-      for (auto [mbb, stop] : {std::pair<bool, bool>{false, true},
-                               std::pair<bool, bool>{true, true},
-                               std::pair<bool, bool>{false, false}}) {
-        DifferentialConfig c;
-        c.parallel = true;
-        c.num_threads = threads;
-        c.skip_settled_pairs = skip;
-        c.use_mbb = mbb;
-        c.use_stop_rule = stop;
-        out.push_back(c);
-      }
-    }
-  }
-  // The explicit kernels under the work-stealing scheduler.
-  for (core::KernelPolicy kernel :
-       {core::KernelPolicy::kTiled, core::KernelPolicy::kSorted}) {
-    DifferentialConfig c;
-    c.parallel = true;
-    c.num_threads = 4;
-    c.kernel = kernel;
-    out.push_back(c);
-  }
-
-  // The scheduler's cost-model paths. Adversarial datasets are tiny, so
-  // with default knobs every parallel run would take the inline
-  // (below-cutoff) path; these configurations force the pool
-  // (sequential_cutoff_cost = 1), make every pair a "giant" whose tile
-  // grid is split across workers (giant_pair_min_cost = 1), and shrink the
-  // adaptive chunk to one claim per pair (chunk_cost_target = 1) — the
-  // exact-marks contract must survive all of it.
-  for (auto [mbb, stop] : {std::pair<bool, bool>{false, true},
-                           std::pair<bool, bool>{true, true},
-                           std::pair<bool, bool>{false, false}}) {
-    DifferentialConfig c;
-    c.parallel = true;
-    c.num_threads = 4;
-    c.use_mbb = mbb;
-    c.use_stop_rule = stop;
-    c.sequential_cutoff_cost = 1;
-    c.giant_pair_min_cost = 1;
-    c.chunk_cost_target = 1;
-    out.push_back(c);
-  }
-  // Intra-pair splitting with settled-pair skipping off (every pair must
-  // still be classified exactly once across phases).
-  {
-    DifferentialConfig c;
-    c.parallel = true;
-    c.num_threads = 8;
-    c.skip_settled_pairs = false;
-    c.sequential_cutoff_cost = 1;
-    c.giant_pair_min_cost = 1;
-    out.push_back(c);
-  }
-  // The legacy fixed pair-count chunking, forced through the pool.
-  {
-    DifferentialConfig c;
-    c.parallel = true;
-    c.num_threads = 4;
-    c.pair_chunk = 3;
-    c.sequential_cutoff_cost = 1;
-    out.push_back(c);
-  }
-  // Adaptive chunking alone (no giants): cost-sized claims over the
-  // triangle with the default split threshold out of reach.
-  {
-    DifferentialConfig c;
-    c.parallel = true;
-    c.num_threads = 4;
-    c.sequential_cutoff_cost = 1;
-    c.chunk_cost_target = 2;
-    out.push_back(c);
-  }
   return out;
 }
 
 core::AggregateSkylineResult RunConfiguration(
     const core::GroupedDataset& dataset, double gamma,
     const DifferentialConfig& config) {
-  if (config.parallel) {
-    core::ParallelOptions options;
-    options.gamma = gamma;
-    options.num_threads = config.num_threads;
-    options.use_mbb = config.use_mbb;
-    options.use_stop_rule = config.use_stop_rule;
-    options.skip_settled_pairs = config.skip_settled_pairs;
-    options.kernel = config.kernel;
-    options.pair_chunk = config.pair_chunk;
-    options.chunk_cost_target = config.chunk_cost_target;
-    options.sequential_cutoff_cost = config.sequential_cutoff_cost;
-    options.giant_pair_min_cost = config.giant_pair_min_cost;
-    return core::ComputeAggregateSkylineParallel(dataset, options);
-  }
   core::AggregateSkylineOptions options;
   options.gamma = gamma;
   options.algorithm = config.algorithm;
@@ -296,12 +194,10 @@ std::string CheckResult(const core::GroupedDataset& dataset, double gamma,
            std::to_string(n) + " groups)";
   }
 
-  core::Algorithm expected_algorithm =
-      config.parallel ? core::Algorithm::kParallel : config.algorithm;
-  if (result.algorithm_used != expected_algorithm) {
+  if (result.algorithm_used != config.algorithm) {
     return std::string("algorithm_used reports ") +
            core::AlgorithmToString(result.algorithm_used) + " instead of " +
-           core::AlgorithmToString(expected_algorithm);
+           core::AlgorithmToString(config.algorithm);
   }
 
   // Structural invariants of the result type itself.
@@ -396,9 +292,7 @@ Divergence CheckDataset(const core::GroupedDataset& dataset, double gamma) {
 namespace {
 
 // Re-runs config on the candidate; true if it still disagrees with the
-// oracle. Parallel configurations are retried a few times: their failures
-// can be schedule-dependent, and a shrink step must not accept a candidate
-// just because one lucky interleaving passed.
+// oracle.
 bool StillFails(const PointGroups& groups, double gamma,
                 const DifferentialConfig& config, std::string* detail) {
   if (groups.empty()) return false;
@@ -411,15 +305,10 @@ bool StillFails(const PointGroups& groups, double gamma,
   core::GroupedDataset dataset = PointsToDataset(groups);
   OracleResult oracle =
       ComputeOracle(dataset, core::GammaThresholds::FromGamma(gamma));
-  const int attempts = config.parallel ? 5 : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::string d = RunAndCheck(dataset, gamma, config, oracle);
-    if (!d.empty()) {
-      if (detail != nullptr) *detail = std::move(d);
-      return true;
-    }
-  }
-  return false;
+  std::string d = RunAndCheck(dataset, gamma, config, oracle);
+  if (d.empty()) return false;
+  if (detail != nullptr) *detail = std::move(d);
+  return true;
 }
 
 PointGroups RoundToGrid(const PointGroups& groups, double grid) {
@@ -440,8 +329,8 @@ Reproducer Shrink(const PointGroups& groups, double gamma,
   repro.groups = groups;
   repro.gamma = gamma;
   repro.config = config;
-  // If the failure does not reproduce from the raw input (a vanished
-  // schedule-dependent parallel failure), return it unshrunk.
+  // If the failure does not reproduce from the raw input, return it
+  // unshrunk.
   if (!StillFails(repro.groups, gamma, config, &repro.detail)) {
     return repro;
   }
@@ -551,37 +440,11 @@ std::string ReproducerToCpp(const Reproducer& repro) {
   }
   out += "  });\n";
   out += "  testing::DifferentialConfig config;\n";
-  if (repro.config.parallel) {
-    out += "  config.parallel = true;\n";
-    out += "  config.num_threads = " +
-           std::to_string(repro.config.num_threads) + ";\n";
-    out += "  config.skip_settled_pairs = " +
-           std::string(repro.config.skip_settled_pairs ? "true" : "false") +
-           ";\n";
-    if (repro.config.pair_chunk != 0) {
-      out += "  config.pair_chunk = " +
-             std::to_string(repro.config.pair_chunk) + ";\n";
-    }
-    if (repro.config.chunk_cost_target != 0) {
-      out += "  config.chunk_cost_target = " +
-             std::to_string(repro.config.chunk_cost_target) + ";\n";
-    }
-    if (repro.config.sequential_cutoff_cost != 0) {
-      out += "  config.sequential_cutoff_cost = " +
-             std::to_string(repro.config.sequential_cutoff_cost) + ";\n";
-    }
-    if (repro.config.giant_pair_min_cost != 0) {
-      out += "  config.giant_pair_min_cost = " +
-             std::to_string(repro.config.giant_pair_min_cost) + ";\n";
-    }
-  } else {
-    out += "  config.algorithm = " +
-           std::string(AlgorithmEnumLiteral(repro.config.algorithm)) + ";\n";
-    out += "  config.prune_strongly_dominated = " +
-           std::string(repro.config.prune_strongly_dominated ? "true"
-                                                             : "false") +
-           ";\n";
-  }
+  out += "  config.algorithm = " +
+         std::string(AlgorithmEnumLiteral(repro.config.algorithm)) + ";\n";
+  out += "  config.prune_strongly_dominated = " +
+         std::string(repro.config.prune_strongly_dominated ? "true" : "false") +
+         ";\n";
   out += "  config.use_mbb = " +
          std::string(repro.config.use_mbb ? "true" : "false") + ";\n";
   out += "  config.use_stop_rule = " +

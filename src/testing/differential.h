@@ -5,17 +5,14 @@
 #include <vector>
 
 #include "core/aggregate_skyline.h"
-#include "core/parallel.h"
 #include "testing/oracle.h"
 #include "testing/property_gen.h"
 
 namespace galaxy::testing {
 
-/// One algorithm configuration of the differential matrix: a sequential
-/// algorithm with its tuning knobs, or the parallel operator with a thread
-/// count.
+/// One algorithm configuration of the differential matrix: an algorithm
+/// with its tuning knobs.
 struct DifferentialConfig {
-  bool parallel = false;
   core::Algorithm algorithm = core::Algorithm::kBruteForce;
   bool use_mbb = false;
   bool use_stop_rule = true;
@@ -24,35 +21,24 @@ struct DifferentialConfig {
   /// Counting kernel for every pairwise residual scan; every policy must
   /// yield identical results (core/count_kernel.h).
   core::KernelPolicy kernel = core::KernelPolicy::kAuto;
-  /// Parallel-only knobs. The cost-model fields mirror ParallelOptions:
-  /// 0 means "library default"; the matrix sets tiny explicit values so the
-  /// pool, adaptive-chunking, and intra-pair-split paths are exercised even
-  /// on the small adversarial datasets (whose total cost would otherwise
-  /// stay below the inline cutoff).
-  size_t num_threads = 1;
-  bool skip_settled_pairs = true;
-  uint64_t pair_chunk = 0;
-  uint64_t chunk_cost_target = 0;
-  uint64_t sequential_cutoff_cost = 0;
-  uint64_t giant_pair_min_cost = 0;
 
   /// True when the configuration must reproduce the oracle's dominated and
   /// strongly_dominated vectors exactly: BF/NL (which classify every
-  /// pair), any algorithm in safe mode (prune_strongly_dominated = false),
-  /// and the parallel operator. Pruned TR/SI/IN/LO may legitimately return
-  /// a superset of the skyline (the weak-transitivity gap; DESIGN.md §3).
+  /// pair) and any algorithm in safe mode (prune_strongly_dominated =
+  /// false). Pruned TR/SI/IN/LO may legitimately return a superset of the
+  /// skyline (the weak-transitivity gap; DESIGN.md §3).
   bool exact() const;
 
-  /// "TR mbb=1 stop=0 prune=1" / "PAR threads=4 skip=1 ..." — for messages.
+  /// "TR prune=1 mbb=1 stop=0" — for messages.
   std::string Name() const;
 };
 
 /// The full differential matrix: every sequential algorithm crossed with
 /// {use_mbb} × {use_stop_rule} × {prune_strongly_dominated}, alternative
-/// group orderings for the order-sensitive algorithms, every explicit
-/// counting kernel (against the kAuto default used everywhere else), and
-/// the parallel operator at 1 and 4 threads with both skip-settled
-/// settings.
+/// group orderings for the order-sensitive algorithms, and every explicit
+/// counting kernel (against the kAuto default used everywhere else) under
+/// NL and under safe-mode IN, the configuration GROUP BY … SKYLINE OF
+/// serves.
 std::vector<DifferentialConfig> AllConfigurations();
 
 /// Runs one configuration on the dataset.

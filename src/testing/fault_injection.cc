@@ -1,7 +1,6 @@
 #include "testing/fault_injection.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/aggregate_skyline.h"
 
@@ -14,8 +13,7 @@ core::AggregateSkylineOptions BoundedOptions(const DifferentialConfig& config,
                                              double gamma) {
   core::AggregateSkylineOptions options;
   options.gamma = gamma;
-  options.algorithm =
-      config.parallel ? core::Algorithm::kParallel : config.algorithm;
+  options.algorithm = config.algorithm;
   options.use_mbb = config.use_mbb;
   options.use_stop_rule = config.use_stop_rule;
   options.prune_strongly_dominated = config.prune_strongly_dominated;
@@ -24,27 +22,16 @@ core::AggregateSkylineOptions BoundedOptions(const DifferentialConfig& config,
   return options;
 }
 
-// Worker count of the bounded parallel path (Bounded forwards with
-// hardware concurrency, clamped to the group count).
-size_t WorkerCount(const DifferentialConfig& config,
-                   const core::GroupedDataset& dataset) {
-  if (!config.parallel) return 1;
-  size_t threads = std::max(1u, std::thread::hardware_concurrency());
-  return std::min<size_t>(threads,
-                          std::max<size_t>(1, dataset.num_groups()));
-}
-
-// Upper bound on comparisons charged after the trigger: each worker may
-// have one charge batch in flight, plus one MBB preclassification charge
-// (2 corner tests per record of the pair), plus one poll round.
-uint64_t LatencySlack(size_t workers, const core::GroupedDataset& dataset) {
+// Upper bound on comparisons charged after the trigger: the one charge
+// batch in flight, one MBB preclassification charge (2 corner tests per
+// record of the pair) and one poll round, with a factor-two margin.
+uint64_t LatencySlack(const core::GroupedDataset& dataset) {
   size_t max_group = 0;
   for (size_t g = 0; g < dataset.num_groups(); ++g) {
     max_group = std::max(max_group, dataset.group(g).size());
   }
   const uint64_t per_pair_preclass = 4 * static_cast<uint64_t>(max_group);
-  return static_cast<uint64_t>(workers + 1) *
-         (core::ExecutionContext::kChargeBatch + per_pair_preclass + 64);
+  return 2 * (core::ExecutionContext::kChargeBatch + per_pair_preclass + 64);
 }
 
 std::string CheckDegraded(const core::GroupedDataset& dataset,
@@ -144,10 +131,9 @@ FaultCheckOutcome RunFaultCheck(const core::GroupedDataset& dataset,
   };
 
   // Bounded unwind latency: comparisons charged past the trigger are
-  // capped by the in-flight batches of the workers.
+  // capped by the in-flight charge batches.
   if (outcome.tripped) {
-    const uint64_t slack =
-        LatencySlack(WorkerCount(config, dataset), dataset);
+    const uint64_t slack = LatencySlack(dataset);
     if (exec.comparisons() > plan.trigger + slack) {
       return fail("run kept charging after the trip: " +
                   std::to_string(exec.comparisons()) +

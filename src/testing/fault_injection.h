@@ -48,8 +48,8 @@ struct FaultCheckOutcome {
 /// Runs `config` on `dataset` through ComputeAggregateSkylineBounded with
 /// the planned fault armed, then checks the control-plane contract:
 ///  - the run stops within a bounded number of comparisons after the
-///    trigger (one in-flight charge batch per worker plus per-pair
-///    preclassification slack);
+///    trigger (the in-flight charge batch plus per-pair preclassification
+///    slack);
 ///  - if the fault never fired, the result is exact and passes the full
 ///    differential check against the oracle;
 ///  - if it fired without allow_approximate, the returned Status code

@@ -1,7 +1,6 @@
-// Differential tests: every algorithm configuration (sequential knobs and
-// the parallel operator at 1 and 4 threads) against the exhaustive oracle
-// on seeded adversarial datasets, plus regression tests for the
-// empty-group semantics and the parallel result identifier.
+// Differential tests: every algorithm configuration against the exhaustive
+// oracle on seeded adversarial datasets, plus regression tests for the
+// empty-group semantics and the shrinker.
 
 #include <cmath>
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "core/aggregate_skyline.h"
 #include "core/gamma.h"
-#include "core/parallel.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property_gen.h"
@@ -20,25 +18,27 @@
 namespace galaxy::testing {
 namespace {
 
-TEST(DifferentialMatrixTest, CoversAllAlgorithmsAndThreadCounts) {
+TEST(DifferentialMatrixTest, CoversAllAlgorithmsAndServedConfigPerKernel) {
   std::vector<DifferentialConfig> configs = AllConfigurations();
-  bool parallel_1 = false;
-  bool parallel_4 = false;
   bool safe_mode = false;
   std::set<core::Algorithm> algorithms;
+  // Explicit kernels that run under safe-mode IN, the configuration
+  // GROUP BY … SKYLINE OF serves.
+  std::set<core::KernelPolicy> served_kernels;
   for (const DifferentialConfig& c : configs) {
-    if (c.parallel) {
-      if (c.num_threads == 1) parallel_1 = true;
-      if (c.num_threads == 4) parallel_4 = true;
-    } else {
-      algorithms.insert(c.algorithm);
-      if (!c.prune_strongly_dominated) safe_mode = true;
+    algorithms.insert(c.algorithm);
+    if (!c.prune_strongly_dominated) safe_mode = true;
+    if (c.algorithm == core::Algorithm::kIndexed &&
+        !c.prune_strongly_dominated && c.kernel != core::KernelPolicy::kAuto) {
+      served_kernels.insert(c.kernel);
     }
   }
-  EXPECT_TRUE(parallel_1);
-  EXPECT_TRUE(parallel_4);
   EXPECT_TRUE(safe_mode);
   EXPECT_EQ(algorithms.size(), 6u);  // BF, NL, TR, SI, IN, LO
+  EXPECT_EQ(served_kernels,
+            (std::set<core::KernelPolicy>{
+                core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
+                core::KernelPolicy::kSorted, core::KernelPolicy::kSweep2D}));
   EXPECT_GE(configs.size(), 40u);
 }
 
@@ -152,72 +152,6 @@ TEST(EmptyGroupTest, DatasetsWithManyEmptyGroupsRoundTrip) {
   Divergence divergence = CheckDataset(dataset, 0.75);
   EXPECT_FALSE(divergence.found)
       << divergence.config.Name() << ": " << divergence.detail;
-}
-
-TEST(ParallelIdentifierTest, ParallelResultReportsParallelAlgorithm) {
-  core::GroupedDataset dataset = core::GroupedDataset::FromPoints({
-      {{1.0, 0.0}},
-      {{0.0, 1.0}},
-  });
-  core::AggregateSkylineResult direct =
-      core::ComputeAggregateSkylineParallel(dataset);
-  EXPECT_EQ(direct.algorithm_used, core::Algorithm::kParallel);
-
-  // Dispatch through the public entry point with Algorithm::kParallel.
-  core::AggregateSkylineOptions options;
-  options.algorithm = core::Algorithm::kParallel;
-  core::AggregateSkylineResult routed =
-      core::ComputeAggregateSkyline(dataset, options);
-  EXPECT_EQ(routed.algorithm_used, core::Algorithm::kParallel);
-  EXPECT_EQ(routed.skyline, direct.skyline);
-}
-
-TEST(ParallelSkipSettledTest, StrongMarksStayExactWithSkipEnabled) {
-  // The settled-pair skip may only fire when classifying the pair cannot
-  // change any mark; with the old dominated-based condition, strong marks
-  // could be left unset. Exactness must hold at every thread count.
-  Rng rng(4242);
-  for (int i = 0; i < 25; ++i) {
-    core::GroupedDataset dataset = GenerateAdversarialDataset(rng);
-    const double gamma = PickAdversarialGamma(rng);
-    OracleResult oracle =
-        ComputeOracle(dataset, core::GammaThresholds::FromGamma(gamma));
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      core::ParallelOptions options;
-      options.gamma = gamma;
-      options.num_threads = threads;
-      options.skip_settled_pairs = true;
-      core::AggregateSkylineResult result =
-          core::ComputeAggregateSkylineParallel(dataset, options);
-      EXPECT_EQ(result.dominated, oracle.dominated)
-          << "iteration " << i << ", threads " << threads;
-      EXPECT_EQ(result.strongly_dominated, oracle.strongly_dominated)
-          << "iteration " << i << ", threads " << threads;
-    }
-  }
-}
-
-// Shrunk reproducer from the differential harness (galaxy_fuzz, dataset
-// seed 17096893083570007196, gamma 0.5). With the settled-pair skip gated
-// on `dominated` instead of `strongly_dominated`, group 1 here loses its
-// strong mark: the pair (0,1) is skipped after (2,1) marks group 1
-// dominated, even though group 0 dominates it strongly.
-TEST(DifferentialRegressionTest, ParallelSkipMustNotDropStrongMarks) {
-  core::GroupedDataset ds = core::GroupedDataset::FromPoints({
-      {{0.75}, {0.625}, {0.0}, {0.625}},
-      {{0.375}, {0.0}, {0.25}, {1.0}},
-      {{0.5}},
-  });
-  DifferentialConfig config;
-  config.parallel = true;
-  config.num_threads = 1;
-  config.skip_settled_pairs = true;
-  config.use_mbb = false;
-  config.use_stop_rule = true;
-  const double gamma = 0.5;
-  OracleResult oracle =
-      ComputeOracle(ds, core::GammaThresholds::FromGamma(gamma));
-  EXPECT_EQ(RunAndCheck(ds, gamma, config, oracle), "");
 }
 
 TEST(ShrinkerTest, PassingInputReturnsUnshrunkWithEmptyDetail) {

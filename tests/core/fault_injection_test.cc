@@ -15,7 +15,6 @@
 #include "core/aggregate_skyline.h"
 #include "core/exec_context.h"
 #include "core/gamma.h"
-#include "core/parallel.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property_gen.h"
@@ -109,22 +108,7 @@ TEST(FaultInjectionTest, TriggerBeyondTotalWorkCompletesExactly) {
   }
 }
 
-TEST(FaultInjectionTest, ParallelConfigSurvivesMidRunCancellation) {
-  FaultFixture f = FaultFixture::Make(105);
-  DifferentialConfig config;
-  config.parallel = true;
-  FaultPlan plan;
-  plan.kind = FaultKind::kCancel;
-  plan.allow_approximate = true;
-  for (uint64_t trigger : {1ull, 16ull, 64ull, 256ull, 1024ull}) {
-    plan.trigger = trigger;
-    FaultCheckOutcome outcome =
-        RunFaultCheck(f.dataset, f.gamma, config, f.oracle, plan);
-    EXPECT_TRUE(outcome.ok) << "trigger " << trigger << ": " << outcome.detail;
-  }
-}
-
-// Two (or three) equal-sized groups whose single classification needs a
+// Equal-sized groups whose single classification needs a
 // long exhaustive scan: random d=2 records, 1600 record pairs per group
 // pair, no stop rule — so a fault injected a few hundred comparisons in
 // reliably aborts a classification mid-scan.
@@ -159,44 +143,6 @@ TEST(FaultInjectionTest, AbortedPairIsNotCountedSequential) {
     EXPECT_EQ(result.value().stats.group_pairs_classified, 0u)
         << core::AlgorithmToString(algorithm)
         << ": an aborted classification decided nothing";
-  }
-}
-
-TEST(FaultInjectionTest, AbortedPairIsNotCountedParallel) {
-  // Same regression on the parallel operator's inline path (2 groups run
-  // below the cutoff on the calling thread).
-  core::GroupedDataset ds = LongScanDataset(2, 202);
-  core::ExecutionContext ctx;
-  ctx.InjectCancelAtComparison(300);
-  core::ParallelOptions options;
-  options.num_threads = 2;
-  options.use_stop_rule = false;
-  options.exec = &ctx;
-  core::AggregateSkylineResult result =
-      core::ComputeAggregateSkylineParallel(ds, options);
-  EXPECT_TRUE(ctx.stopped());
-  EXPECT_EQ(result.stats.group_pairs_classified, 0u);
-}
-
-TEST(FaultInjectionTest, AbortedPairIsNotCountedParallelPool) {
-  // The pool path (sequential_cutoff_cost = 1) and the intra-pair tile
-  // path (giant_pair_min_cost = 1): no full 1600-comparison scan can
-  // finish before the trigger, so no pair may be reported classified.
-  core::GroupedDataset ds = LongScanDataset(3, 203);
-  for (uint64_t giant_min : {uint64_t{0}, uint64_t{1}}) {
-    core::ExecutionContext ctx;
-    ctx.InjectCancelAtComparison(300);
-    core::ParallelOptions options;
-    options.num_threads = 2;
-    options.use_stop_rule = false;
-    options.exec = &ctx;
-    options.sequential_cutoff_cost = 1;
-    options.giant_pair_min_cost = giant_min;
-    core::AggregateSkylineResult result =
-        core::ComputeAggregateSkylineParallel(ds, options);
-    EXPECT_TRUE(ctx.stopped()) << "giant_min " << giant_min;
-    EXPECT_EQ(result.stats.group_pairs_classified, 0u)
-        << "giant_min " << giant_min;
   }
 }
 

@@ -215,8 +215,8 @@ const std::set<std::string>& BlockingSocketCalls() {
 
 const std::set<std::string>& QualifiedBlockingCalls() {
   static const std::set<std::string> kCalls = {
-      "CondVar::Wait", "CondVar::WaitUntil", "ThreadPool::Run",
-      "WalWriter::Append", "WalWriter::Sync"};
+      "CondVar::Wait", "CondVar::WaitUntil", "WalWriter::Append",
+      "WalWriter::Sync"};
   return kCalls;
 }
 
@@ -301,9 +301,8 @@ bool IsBudgetEntryFile(const std::string& path) {
   std::string base = Basename(path);
   if (path.find("src/core/") != std::string::npos) {
     if (base.rfind("algorithm_", 0) == 0) return true;
-    return base == "parallel.cc" || base == "anytime.cc" ||
-           base == "incremental.cc" || base == "adaptive.cc" ||
-           base == "aggregate_skyline.cc";
+    return base == "anytime.cc" || base == "incremental.cc" ||
+           base == "adaptive.cc" || base == "aggregate_skyline.cc";
   }
   return path.find("src/sql/executor.cc") != std::string::npos;
 }

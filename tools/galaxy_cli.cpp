@@ -3,7 +3,7 @@
 //   galaxy_cli query    --csv data.csv --sql "SELECT ..." [--table data]
 //                       [--timeout-ms N] [--max-comparisons N] [--strict]
 //   galaxy_cli skyline  --csv data.csv --group-by col --attrs a,b[,c...]
-//                       [--gamma 0.5] [--algorithm NL|TR|SI|IN|LO|BF|PAR|AUTO]
+//                       [--gamma 0.5] [--algorithm NL|TR|SI|IN|LO|BF|AUTO]
 //                       [--rank] [--representatives K]
 //                       [--timeout-ms N] [--max-comparisons N] [--strict]
 //   galaxy_cli profile  --csv data.csv --group-by col --attrs a,b
@@ -228,7 +228,6 @@ galaxy::Result<galaxy::core::Algorithm> ParseAlgorithm(
   if (upper == "SI") return galaxy::core::Algorithm::kSorted;
   if (upper == "IN") return galaxy::core::Algorithm::kIndexed;
   if (upper == "LO") return galaxy::core::Algorithm::kIndexedBbox;
-  if (upper == "PAR") return galaxy::core::Algorithm::kParallel;
   if (upper == "AUTO") return galaxy::core::Algorithm::kAuto;
   return Status::InvalidArgument("unknown algorithm: " + name);
 }
