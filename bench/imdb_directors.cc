@@ -52,7 +52,7 @@ void RegisterAll() {
           })
           ->Unit(benchmark::kMillisecond);
     }
-    // The adaptive planner on the same grouping.
+    // The served configuration (AUTO: safe-mode IN) on the same grouping.
     std::string column = grouping;
     benchmark::RegisterBenchmark(
         (std::string("imdb/by-") + grouping + "/AUTO").c_str(),

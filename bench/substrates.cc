@@ -1,5 +1,5 @@
-// Substrate microbenchmarks (not a paper figure): record-skyline
-// algorithms (BNL / SFS / D&C) across the three distributions, and R-tree
+// Substrate microbenchmarks (not a paper figure): the record skyline (SFS)
+// across the three distributions, and R-tree
 // construction / window-query throughput — the building blocks whose costs
 // feed every aggregate-skyline number in the other benches.
 
@@ -28,37 +28,24 @@ const std::vector<Point>& CachedPoints(datagen::Distribution dist,
 }
 
 void RegisterRecordSkyline() {
-  struct AlgoVariant {
-    const char* name;
-    skyline::Algorithm algorithm;
-  };
-  const AlgoVariant algos[] = {
-      {"BNL", skyline::Algorithm::kBnl},
-      {"SFS", skyline::Algorithm::kSfs},
-      {"DC", skyline::Algorithm::kDivideConquer},
-  };
   for (const auto& [dist_name, dist] : PaperDistributions()) {
-    for (const AlgoVariant& algo : algos) {
-      std::string name = std::string("substrate-skyline/") + dist_name +
-                         "/n=20000/d=4/" + algo.name;
-      datagen::Distribution distribution = dist;
-      skyline::Algorithm algorithm = algo.algorithm;
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [distribution, algorithm](benchmark::State& state) {
-            const std::vector<Point>& pts =
-                CachedPoints(distribution, 4, 20000);
-            skyline::PreferenceList prefs = skyline::AllMax(4);
-            size_t size = 0;
-            for (auto _ : state) {
-              auto result = skyline::Compute(pts, prefs, algorithm);
-              benchmark::DoNotOptimize(result.data());
-              size = result.size();
-            }
-            state.counters["skyline"] = static_cast<double>(size);
-          })
-          ->Unit(benchmark::kMillisecond);
-    }
+    std::string name =
+        std::string("substrate-skyline/") + dist_name + "/n=20000/d=4/SFS";
+    datagen::Distribution distribution = dist;
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [distribution](benchmark::State& state) {
+          const std::vector<Point>& pts = CachedPoints(distribution, 4, 20000);
+          skyline::PreferenceList prefs = skyline::AllMax(4);
+          size_t size = 0;
+          for (auto _ : state) {
+            auto result = skyline::Compute(pts, prefs);
+            benchmark::DoNotOptimize(result.data());
+            size = result.size();
+          }
+          state.counters["skyline"] = static_cast<double>(size);
+        })
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

@@ -1,12 +1,12 @@
 // Best directors at IMDB scale: the paper's Section 1 question ("what are
 // the most interesting directors, judged by their movies?") on a synthetic
 // 20 000-movie corpus with heavy-tailed filmographies, answered by the
-// native operator, the adaptive planner, and the gamma ranking.
+// native operator in its served configuration (AUTO) and the gamma
+// ranking.
 
 #include <cstdio>
 
 #include "common/timer.h"
-#include "core/adaptive.h"
 #include "core/aggregate_skyline.h"
 #include "datagen/imdb_gen.h"
 #include "sql/catalog.h"
@@ -35,8 +35,6 @@ int main() {
     largest = std::max(largest, g.size());
   }
   std::printf("%zu movies)\n", largest);
-  std::printf("workload profile: %s\n",
-              galaxy::core::ProfileWorkload(*directors).ToString().c_str());
 
   AggregateSkylineOptions options;
   options.algorithm = Algorithm::kAuto;

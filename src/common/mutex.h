@@ -8,6 +8,17 @@
 #include "common/lock_order.h"
 #include "common/thread_annotations.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define GALAXY_TSAN_MUTEX_HOOKS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GALAXY_TSAN_MUTEX_HOOKS 1
+#endif
+#endif
+#if defined(GALAXY_TSAN_MUTEX_HOOKS)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 /// Annotated mutex wrappers: the capability types that Clang's
 /// -Wthread-safety analysis reasons about. libstdc++'s std::mutex carries
 /// no capability attributes, so raw standard mutexes are invisible to the
@@ -22,13 +33,28 @@
 /// deadlock just like exclusive ones.
 namespace galaxy::common {
 
+namespace internal {
+/// Tells ThreadSanitizer that the mutex at `mu` is gone. std::mutex has a
+/// trivial destructor, so TSan would otherwise keep the dead mutex's
+/// lock-order edges and report an inversion against the next mutex built
+/// at the same address. A no-op outside TSan builds.
+inline void OnMutexDestroyed([[maybe_unused]] void* mu) {
+#if defined(GALAXY_TSAN_MUTEX_HOOKS)
+  __tsan_mutex_destroy(mu, 0);
+#endif
+}
+}  // namespace internal
+
 class CondVar;
 
 /// An exclusive capability wrapping std::mutex.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  ~Mutex() { lock_order::OnDestroy(this); }
+  ~Mutex() {
+    lock_order::OnDestroy(this);
+    internal::OnMutexDestroyed(&mu_);
+  }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
@@ -55,7 +81,10 @@ class CAPABILITY("mutex") Mutex {
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
-  ~SharedMutex() { lock_order::OnDestroy(this); }
+  ~SharedMutex() {
+    lock_order::OnDestroy(this);
+    internal::OnMutexDestroyed(&mu_);
+  }
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/adaptive.h"
 #include "core/algo_context.h"
 #include "core/anytime.h"
 #include "core/gamma.h"
@@ -74,15 +73,16 @@ std::vector<std::string> AggregateSkylineResult::Labels(
 
 namespace {
 
-// Resolves kAuto to a concrete algorithm (and its preferred ordering).
+// Resolves kAuto to the configuration GROUP BY … SKYLINE OF serves:
+// safe-mode IN. The R-tree limits each group to the groups that could
+// γ-dominate it, and without candidate skipping the answer stays exact
+// (DESIGN.md §3b). Every other option passes through.
 AggregateSkylineOptions ResolveAlgorithm(
-    const GroupedDataset& dataset, const AggregateSkylineOptions& options) {
+    const AggregateSkylineOptions& options) {
   AggregateSkylineOptions effective = options;
   if (options.algorithm == Algorithm::kAuto) {
-    AdaptiveChoice choice = ChooseAlgorithm(
-        ProfileWorkload(dataset, /*sample_size=*/64, options.exec));
-    effective.algorithm = choice.algorithm;
-    effective.ordering = choice.ordering;
+    effective.algorithm = Algorithm::kIndexed;
+    effective.prune_strongly_dominated = false;
   }
   return effective;
 }
@@ -166,14 +166,14 @@ AggregateSkylineResult ComputeAggregateSkyline(
   GALAXY_CHECK(options.exec == nullptr)
       << "ComputeAggregateSkyline cannot report interruptions; use "
          "ComputeAggregateSkylineBounded with an ExecutionContext";
-  return RunResolved(dataset, ResolveAlgorithm(dataset, options));
+  return RunResolved(dataset, ResolveAlgorithm(options));
 }
 
 Result<AggregateSkylineResult> ComputeAggregateSkylineBounded(
     const GroupedDataset& dataset, const AggregateSkylineOptions& options) {
   WallTimer timer;
   AggregateSkylineResult result =
-      RunResolved(dataset, ResolveAlgorithm(dataset, options));
+      RunResolved(dataset, ResolveAlgorithm(options));
   if (options.exec == nullptr || !options.exec->stopped()) {
     return result;
   }

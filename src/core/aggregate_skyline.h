@@ -22,7 +22,7 @@ struct AggregateSkylineResult {
   std::vector<uint8_t> strongly_dominated;
   /// Work counters for the run.
   AggregateSkylineStats stats;
-  /// The concrete algorithm that ran (resolves kAuto to its choice).
+  /// The concrete algorithm that ran (kIndexed for kAuto).
   Algorithm algorithm_used = Algorithm::kBruteForce;
   /// Whether the skyline is exact or a sound over-approximation (set to
   /// kApproximateSuperset only by ComputeAggregateSkylineBounded after a

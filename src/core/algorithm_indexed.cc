@@ -1,4 +1,4 @@
-#include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "core/algo_context.h"
@@ -6,6 +6,11 @@
 #include "spatial/rtree.h"
 
 namespace galaxy::core::internal {
+
+namespace {
+// Fan-out of the R-tree over group MBB max corners.
+constexpr size_t kRTreeFanout = 16;
+}  // namespace
 
 // Algorithm 5 ("IN"; with the MBB internal approximation enabled it is
 // "LO"): groups are probed in priority order, and for each probe g1 a
@@ -31,15 +36,14 @@ void RunIndexed(AlgoContext& ctx) {
   if (ctx.options().exec != nullptr) {
     const uint64_t per_entry = dims * sizeof(double) + sizeof(uint32_t);
     const uint64_t per_node = 2 * dims * sizeof(double) + 64;
-    const uint64_t fanout = std::max<uint64_t>(2, ctx.options().rtree_fanout);
     const uint64_t estimate =
-        n * per_entry + (2 * uint64_t{n} / fanout + 1) * per_node;
+        n * per_entry + (2 * uint64_t{n} / kRTreeFanout + 1) * per_node;
     if (!tree_reservation.Reserve(ctx.options().exec, estimate).ok()) {
       return;
     }
   }
 
-  spatial::RTree tree(dims, ctx.options().rtree_fanout);
+  spatial::RTree tree(dims, kRTreeFanout);
   {
     std::vector<Point> corners;
     std::vector<uint32_t> ids;

@@ -24,9 +24,9 @@ enum class Algorithm {
   kIndexed,
   /// Algorithm 5 + bounding-box internal approximation ("LO").
   kIndexedBbox,
-  /// Adaptive: profiles the workload and picks kSorted or kIndexedBbox
-  /// (plus an ordering) per core/adaptive.h — the "customized query
-  /// optimization" direction of the paper's concluding remarks.
+  /// The served configuration: kIndexed with prune_strongly_dominated
+  /// forced to false (safe-mode IN), which is exact. GROUP BY … SKYLINE OF
+  /// runs it; algorithm_used reports kIndexed.
   kAuto,
 };
 
@@ -85,9 +85,6 @@ struct AggregateSkylineOptions {
 
   /// Group access ordering for kSorted / kIndexed / kIndexedBbox.
   GroupOrdering ordering = GroupOrdering::kCornerDistance;
-
-  /// Fan-out of the R-tree used by the indexed algorithms.
-  size_t rtree_fanout = 16;
 
   /// Optional execution control plane (deadline, cancellation token,
   /// resource budgets; core/exec_context.h). Only honored by the

@@ -11,7 +11,6 @@
 #include "common/status.h"        // IWYU pragma: export
 #include "common/timer.h"         // IWYU pragma: export
 #include "common/zipf.h"          // IWYU pragma: export
-#include "core/adaptive.h"        // IWYU pragma: export
 #include "core/aggregate_skyline.h"  // IWYU pragma: export
 #include "core/domination_matrix.h"  // IWYU pragma: export
 #include "core/gamma.h"           // IWYU pragma: export

@@ -7,46 +7,13 @@
 
 namespace galaxy::skyline {
 
-namespace {
-
-// Block-Nested-Loop: keep a window of mutually incomparable candidates.
-// A new point is discarded if dominated by a window entry; window entries
-// dominated by the new point are evicted. Equal points coexist.
-std::vector<size_t> ComputeBnl(const std::vector<std::vector<double>>& points,
-                               const PreferenceList& prefs,
-                               SkylineStats* stats) {
-  std::vector<size_t> window;
-  for (size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    size_t keep = 0;
-    for (size_t w = 0; w < window.size(); ++w) {
-      if (stats != nullptr) ++stats->dominance_tests;
-      DominanceResult r =
-          CompareDominance(points[window[w]], points[i], prefs);
-      if (r == DominanceResult::kLeftDominates) {
-        dominated = true;
-        // Everything not yet inspected stays in the window.
-        for (size_t rest = w; rest < window.size(); ++rest) {
-          window[keep++] = window[rest];
-        }
-        break;
-      }
-      if (r != DominanceResult::kRightDominates) {
-        window[keep++] = window[w];  // incomparable or equal: keep
-      }
-    }
-    window.resize(keep);
-    if (!dominated) window.push_back(i);
+std::vector<size_t> Compute(const std::vector<std::vector<double>>& points,
+                            const PreferenceList& prefs) {
+  for (const auto& p : points) {
+    GALAXY_CHECK_EQ(p.size(), prefs.size());
   }
-  std::sort(window.begin(), window.end());
-  return window;
-}
-
-// Sort-Filter-Skyline: process points by decreasing monotone score. A point
-// can only be dominated by an earlier one, so accepted points are final.
-std::vector<size_t> ComputeSfs(const std::vector<std::vector<double>>& points,
-                               const PreferenceList& prefs,
-                               SkylineStats* stats) {
+  // Process points by decreasing monotone score. A point can only be
+  // dominated by an earlier one, so accepted points are final.
   std::vector<size_t> order(points.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::vector<double> score(points.size());
@@ -60,7 +27,6 @@ std::vector<size_t> ComputeSfs(const std::vector<std::vector<double>>& points,
   for (size_t idx : order) {
     bool dominated = false;
     for (size_t s : result) {
-      if (stats != nullptr) ++stats->dominance_tests;
       if (Dominates(points[s], points[idx], prefs)) {
         dominated = true;
         break;
@@ -72,134 +38,16 @@ std::vector<size_t> ComputeSfs(const std::vector<std::vector<double>>& points,
   return result;
 }
 
-// Divide & Conquer: split on the median of the first attribute. The "high"
-// half (strictly better on attribute 0) cannot be dominated by the "low"
-// half, so the merge only filters low-half skyline points against the
-// high-half skyline.
-class DivideConquer {
- public:
-  DivideConquer(const std::vector<std::vector<double>>& points,
-                const PreferenceList& prefs, SkylineStats* stats)
-      : points_(points), prefs_(prefs), stats_(stats) {}
-
-  std::vector<size_t> Run() {
-    std::vector<size_t> indices(points_.size());
-    std::iota(indices.begin(), indices.end(), size_t{0});
-    std::vector<size_t> result = Solve(std::move(indices));
-    std::sort(result.begin(), result.end());
-    return result;
-  }
-
- private:
-  static constexpr size_t kBaseCase = 64;
-
-  double Oriented(size_t idx, size_t dim) const {
-    double v = points_[idx][dim];
-    return prefs_[dim] == Preference::kMax ? v : -v;
-  }
-
-  // BNL on a subset, for base cases and degenerate partitions.
-  std::vector<size_t> SolveSmall(const std::vector<size_t>& indices) {
-    std::vector<size_t> window;
-    for (size_t idx : indices) {
-      bool dominated = false;
-      size_t keep = 0;
-      for (size_t w = 0; w < window.size(); ++w) {
-        if (stats_ != nullptr) ++stats_->dominance_tests;
-        DominanceResult r =
-            CompareDominance(points_[window[w]], points_[idx], prefs_);
-        if (r == DominanceResult::kLeftDominates) {
-          dominated = true;
-          for (size_t rest = w; rest < window.size(); ++rest) {
-            window[keep++] = window[rest];
-          }
-          break;
-        }
-        if (r != DominanceResult::kRightDominates) {
-          window[keep++] = window[w];
-        }
-      }
-      window.resize(keep);
-      if (!dominated) window.push_back(idx);
-    }
-    return window;
-  }
-
-  std::vector<size_t> Solve(std::vector<size_t> indices) {
-    if (indices.size() <= kBaseCase) return SolveSmall(indices);
-    // Median of the oriented first attribute.
-    std::vector<size_t> by_dim0 = indices;
-    auto mid = by_dim0.begin() + static_cast<long>(by_dim0.size() / 2);
-    std::nth_element(by_dim0.begin(), mid, by_dim0.end(),
-                     [&](size_t a, size_t b) {
-                       return Oriented(a, 0) < Oriented(b, 0);
-                     });
-    double median = Oriented(*mid, 0);
-
-    std::vector<size_t> low;
-    std::vector<size_t> high;
-    for (size_t idx : indices) {
-      (Oriented(idx, 0) > median ? high : low).push_back(idx);
-    }
-    if (high.empty() || low.empty()) {
-      // Degenerate split (many ties on attribute 0): fall back.
-      return SolveSmall(indices);
-    }
-    std::vector<size_t> high_sky = Solve(std::move(high));
-    std::vector<size_t> low_sky = Solve(std::move(low));
-
-    // Merge: low-half skyline points survive unless some high-half skyline
-    // point dominates them; high-half points are never dominated by low
-    // ones (strictly worse first attribute).
-    std::vector<size_t> result = high_sky;
-    for (size_t p : low_sky) {
-      bool dominated = false;
-      for (size_t q : high_sky) {
-        if (stats_ != nullptr) ++stats_->dominance_tests;
-        if (Dominates(points_[q], points_[p], prefs_)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) result.push_back(p);
-    }
-    return result;
-  }
-
-  const std::vector<std::vector<double>>& points_;
-  const PreferenceList& prefs_;
-  SkylineStats* stats_;
-};
-
-}  // namespace
-
-std::vector<size_t> Compute(const std::vector<std::vector<double>>& points,
-                            const PreferenceList& prefs, Algorithm algorithm,
-                            SkylineStats* stats) {
-  for (const auto& p : points) {
-    GALAXY_CHECK_EQ(p.size(), prefs.size());
-  }
-  switch (algorithm) {
-    case Algorithm::kBnl:
-      return ComputeBnl(points, prefs, stats);
-    case Algorithm::kSfs:
-      return ComputeSfs(points, prefs, stats);
-    case Algorithm::kDivideConquer:
-      return DivideConquer(points, prefs, stats).Run();
-  }
-  return {};
-}
-
 Result<std::vector<size_t>> ComputeOnTable(
     const Table& table, const std::vector<std::string>& columns,
-    const PreferenceList& prefs, Algorithm algorithm) {
+    const PreferenceList& prefs) {
   if (columns.size() != prefs.size()) {
     return Status::InvalidArgument(
         "number of skyline columns does not match number of preferences");
   }
   GALAXY_ASSIGN_OR_RETURN(std::vector<std::vector<double>> points,
                           table.ExtractNumeric(columns));
-  return Compute(points, prefs, algorithm);
+  return Compute(points, prefs);
 }
 
 }  // namespace galaxy::skyline

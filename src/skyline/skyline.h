@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -9,40 +8,20 @@
 
 namespace galaxy::skyline {
 
-/// Record-skyline algorithms offered by Compute().
-enum class Algorithm {
-  /// Block-Nested-Loop (Börzsönyi et al. 2001): maintains a window of
-  /// incomparable candidates and streams the input against it.
-  kBnl,
-  /// Sort-Filter-Skyline (Chomicki et al. 2003): presorts by a monotone
-  /// score so every accepted record is final; the window only grows.
-  kSfs,
-  /// Divide & Conquer (Börzsönyi et al. 2001): splits on the median of the
-  /// first dimension, solves recursively, and removes the low half's
-  /// points dominated by the high half's skyline.
-  kDivideConquer,
-};
-
-/// Counters describing the work done by a skyline computation.
-struct SkylineStats {
-  uint64_t dominance_tests = 0;
-};
-
-/// Computes the skyline of `points`: the indices (in input order) of points
-/// not dominated by any other point under `prefs`. Duplicate points are all
-/// retained (none dominates the other). Points must share one dimension,
-/// equal to prefs.size().
+/// Computes the skyline of `points` with Sort-Filter-Skyline (Chomicki et
+/// al. 2003): the indices, ascending, of points not dominated by any other
+/// point under `prefs`. Points are presorted by a monotone score, so every
+/// accepted point is final. Duplicate points are all retained (none
+/// dominates the other). Points must share one dimension, equal to
+/// prefs.size().
 std::vector<size_t> Compute(const std::vector<std::vector<double>>& points,
-                            const PreferenceList& prefs,
-                            Algorithm algorithm = Algorithm::kSfs,
-                            SkylineStats* stats = nullptr);
+                            const PreferenceList& prefs);
 
 /// Convenience wrapper: extracts `columns` from `table` (all treated as
 /// numeric), computes the skyline with the given per-column preferences, and
 /// returns the qualifying row indexes in ascending order.
 Result<std::vector<size_t>> ComputeOnTable(
     const Table& table, const std::vector<std::string>& columns,
-    const PreferenceList& prefs, Algorithm algorithm = Algorithm::kSfs);
+    const PreferenceList& prefs);
 
 }  // namespace galaxy::skyline
-

@@ -990,10 +990,8 @@ Result<std::vector<size_t>> AggregateSkylineFilter(
   }
   core::AggregateSkylineOptions options;
   options.gamma = gamma.value_or(0.5);
-  // Safe-mode IN: the R-tree limits each group to the groups that could
-  // γ-dominate it, and without candidate skipping the answer stays exact.
-  options.algorithm = core::Algorithm::kIndexed;
-  options.prune_strongly_dominated = false;
+  // kAuto is the served configuration, chosen in core (safe-mode IN).
+  options.algorithm = core::Algorithm::kAuto;
   options.exec = exec_options.exec;
   options.allow_approximate = exec_options.allow_approximate;
   GALAXY_ASSIGN_OR_RETURN(core::AggregateSkylineResult sky,
@@ -1358,8 +1356,8 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
         for (size_t i = 0; i < sel.size(); ++i) {
           for (size_t k = 0; k < d; ++k) points[i][k] = dims[k][i];
         }
-        std::vector<size_t> keep = skyline::Compute(
-            points, skyline::AllMax(d), skyline::Algorithm::kSfs);
+        std::vector<size_t> keep =
+            skyline::Compute(points, skyline::AllMax(d));
         std::vector<uint32_t> filtered;
         filtered.reserve(keep.size());
         for (size_t idx : keep) filtered.push_back(sel[idx]);
@@ -1813,8 +1811,7 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
           }
           points.push_back(std::move(p));
         }
-        kept = skyline::Compute(points, skyline::AllMax(stmt.skyline.size()),
-                                skyline::Algorithm::kSfs);
+        kept = skyline::Compute(points, skyline::AllMax(stmt.skyline.size()));
       }
       RowView row_view;
       for (size_t idx : kept) {

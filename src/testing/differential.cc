@@ -46,6 +46,18 @@ const char* KernelPolicyEnumLiteral(core::KernelPolicy policy) {
   return "?";
 }
 
+const char* GroupOrderingEnumLiteral(core::GroupOrdering ordering) {
+  switch (ordering) {
+    case core::GroupOrdering::kCornerDistance:
+      return "core::GroupOrdering::kCornerDistance";
+    case core::GroupOrdering::kSmallestFirst:
+      return "core::GroupOrdering::kSmallestFirst";
+    case core::GroupOrdering::kSmallestFirstThenCorner:
+      return "core::GroupOrdering::kSmallestFirstThenCorner";
+  }
+  return "?";
+}
+
 std::string FormatCoord(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -62,10 +74,10 @@ std::string DescribeGroup(const core::GroupedDataset& dataset, uint32_t id) {
 
 bool DifferentialConfig::exact() const {
   // BF/NL classify every unordered pair; safe mode disables the only
-  // unsound skip.
+  // unsound skip, and kAuto always runs in safe mode.
   return algorithm == core::Algorithm::kBruteForce ||
          algorithm == core::Algorithm::kNestedLoop ||
-         !prune_strongly_dominated;
+         algorithm == core::Algorithm::kAuto || !prune_strongly_dominated;
 }
 
 std::string DifferentialConfig::Name() const {
@@ -165,6 +177,13 @@ std::vector<DifferentialConfig> AllConfigurations() {
     c.kernel = core::KernelPolicy::kSorted;
     out.push_back(c);
   }
+  // kAuto exactly as GROUP BY … SKYLINE OF requests it. Pruning is left at
+  // its default (on): kAuto must switch it off itself.
+  {
+    DifferentialConfig c;
+    c.algorithm = core::Algorithm::kAuto;
+    out.push_back(c);
+  }
   return out;
 }
 
@@ -194,10 +213,14 @@ std::string CheckResult(const core::GroupedDataset& dataset, double gamma,
            std::to_string(n) + " groups)";
   }
 
-  if (result.algorithm_used != config.algorithm) {
+  // kAuto resolves to the served safe-mode IN.
+  const core::Algorithm expected_algorithm =
+      config.algorithm == core::Algorithm::kAuto ? core::Algorithm::kIndexed
+                                                 : config.algorithm;
+  if (result.algorithm_used != expected_algorithm) {
     return std::string("algorithm_used reports ") +
            core::AlgorithmToString(result.algorithm_used) + " instead of " +
-           core::AlgorithmToString(config.algorithm);
+           core::AlgorithmToString(expected_algorithm);
   }
 
   // Structural invariants of the result type itself.
@@ -449,6 +472,11 @@ std::string ReproducerToCpp(const Reproducer& repro) {
          std::string(repro.config.use_mbb ? "true" : "false") + ";\n";
   out += "  config.use_stop_rule = " +
          std::string(repro.config.use_stop_rule ? "true" : "false") + ";\n";
+  if (repro.config.ordering != core::GroupOrdering::kCornerDistance) {
+    out += "  config.ordering = " +
+           std::string(GroupOrderingEnumLiteral(repro.config.ordering)) +
+           ";\n";
+  }
   if (repro.config.kernel != core::KernelPolicy::kAuto) {
     out += "  config.kernel = " +
            std::string(KernelPolicyEnumLiteral(repro.config.kernel)) + ";\n";

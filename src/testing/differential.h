@@ -24,9 +24,10 @@ struct DifferentialConfig {
 
   /// True when the configuration must reproduce the oracle's dominated and
   /// strongly_dominated vectors exactly: BF/NL (which classify every
-  /// pair) and any algorithm in safe mode (prune_strongly_dominated =
-  /// false). Pruned TR/SI/IN/LO may legitimately return a superset of the
-  /// skyline (the weak-transitivity gap; DESIGN.md §3).
+  /// pair), kAuto (safe-mode IN whatever prune_strongly_dominated says)
+  /// and any algorithm in safe mode (prune_strongly_dominated = false).
+  /// Pruned TR/SI/IN/LO may legitimately return a superset of the skyline
+  /// (the weak-transitivity gap; DESIGN.md §3).
   bool exact() const;
 
   /// "TR prune=1 mbb=1 stop=0" — for messages.
@@ -37,8 +38,8 @@ struct DifferentialConfig {
 /// {use_mbb} × {use_stop_rule} × {prune_strongly_dominated}, alternative
 /// group orderings for the order-sensitive algorithms, and every explicit
 /// counting kernel (against the kAuto default used everywhere else) under
-/// NL and under safe-mode IN, the configuration GROUP BY … SKYLINE OF
-/// serves.
+/// NL and under safe-mode IN, and Algorithm::kAuto as GROUP BY … SKYLINE
+/// OF requests it.
 std::vector<DifferentialConfig> AllConfigurations();
 
 /// Runs one configuration on the dataset.
@@ -50,7 +51,7 @@ core::AggregateSkylineResult RunConfiguration(
 /// structural invariants (skyline ascending and equal to the unmarked
 /// groups, strong implies dominated), mark soundness (every mark the
 /// algorithm set is true per the oracle), the reported algorithm
-/// identifier, exactness for exact() configurations, and for pruned
+/// identifier (kIndexed for kAuto), exactness for exact() configurations, and for pruned
 /// configurations that every surplus skyline group is explained by the
 /// weak-transitivity gap (all its true γ-dominators carry the algorithm's
 /// own strongly-dominated mark). Returns "" when consistent, else a

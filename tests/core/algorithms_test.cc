@@ -139,6 +139,25 @@ TEST_P(AlgorithmAgreementTest, StatsArePopulated) {
   EXPECT_FALSE(result.stats.ToString().empty());
 }
 
+// kAuto as GROUP BY … SKYLINE OF requests it (pruning left at its default)
+// runs safe-mode IN: the Definition-3 oracle's exact marks on every shape.
+TEST_P(AlgorithmAgreementTest, AutoRunsSafeModeIndexedWithOracleMarks) {
+  GroupedDataset ds = Generate();
+  const testing::OracleResult oracle = testing::ComputeOracle(
+      ds, GammaThresholds::FromGamma(GetParam().gamma));
+
+  AggregateSkylineOptions options;
+  options.gamma = GetParam().gamma;
+  options.algorithm = Algorithm::kAuto;
+  ASSERT_TRUE(options.prune_strongly_dominated);
+  AggregateSkylineResult result = ComputeAggregateSkyline(ds, options);
+  EXPECT_EQ(result.algorithm_used, Algorithm::kIndexed);
+  EXPECT_EQ(result.skyline, oracle.skyline);
+  EXPECT_EQ(result.dominated, oracle.dominated);
+  EXPECT_EQ(result.strongly_dominated, oracle.strongly_dominated);
+  EXPECT_EQ(AsSet(result.skyline), ReferenceSkyline(ds, GetParam().gamma));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Workloads, AlgorithmAgreementTest,
     ::testing::Values(
@@ -297,6 +316,58 @@ TEST(SafeModeIndexedTest, WeakTransitivityGapMatchesOracleMarks) {
       EXPECT_EQ(result.strongly_dominated, oracle.strongly_dominated)
           << where;
     }
+  }
+}
+
+// kAuto is the served configuration: safe-mode IN, exact even though the
+// caller leaves prune_strongly_dominated at its default (true).
+TEST(AutoAlgorithmTest, ResolvesToSafeModeIndexedAndMatchesReference) {
+  for (double spread : {0.1, 0.8}) {
+    datagen::GroupedWorkloadConfig config;
+    config.num_records = 2000;
+    config.avg_records_per_group = 40;
+    config.dims = 4;
+    config.spread = spread;
+    config.seed = 55;
+    GroupedDataset ds = datagen::GenerateGrouped(config);
+
+    AggregateSkylineOptions options;
+    options.algorithm = Algorithm::kAuto;
+    ASSERT_TRUE(options.prune_strongly_dominated);
+    AggregateSkylineResult result = ComputeAggregateSkyline(ds, options);
+    EXPECT_EQ(result.algorithm_used, Algorithm::kIndexed);
+    EXPECT_EQ(AsSet(result.skyline), ReferenceSkyline(ds, 0.5))
+        << "spread " << spread;
+  }
+}
+
+// Skewed group sizes once made the planner switch to smallest-first
+// ordering; kAuto now keeps the caller's ordering and stays exact under
+// each of them.
+TEST(AutoAlgorithmTest, SkewedGroupSizesStayExactUnderEveryOrdering) {
+  datagen::GroupedWorkloadConfig config;
+  config.num_records = 2000;
+  config.avg_records_per_group = 40;
+  config.dims = 4;
+  config.size_model = datagen::GroupSizeModel::kZipf;
+  config.zipf_theta = 1.2;
+  config.seed = 55;
+  GroupedDataset ds = datagen::GenerateGrouped(config);
+  const testing::OracleResult oracle =
+      testing::ComputeOracle(ds, GammaThresholds::FromGamma(0.5));
+
+  for (GroupOrdering ordering :
+       {GroupOrdering::kCornerDistance, GroupOrdering::kSmallestFirst,
+        GroupOrdering::kSmallestFirstThenCorner}) {
+    AggregateSkylineOptions options;
+    options.algorithm = Algorithm::kAuto;
+    options.ordering = ordering;
+    AggregateSkylineResult result = ComputeAggregateSkyline(ds, options);
+    const char* where = GroupOrderingToString(ordering);
+    EXPECT_EQ(result.algorithm_used, Algorithm::kIndexed) << where;
+    EXPECT_EQ(result.skyline, oracle.skyline) << where;
+    EXPECT_EQ(result.dominated, oracle.dominated) << where;
+    EXPECT_EQ(result.strongly_dominated, oracle.strongly_dominated) << where;
   }
 }
 

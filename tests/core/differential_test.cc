@@ -25,16 +25,23 @@ TEST(DifferentialMatrixTest, CoversAllAlgorithmsAndServedConfigPerKernel) {
   // Explicit kernels that run under safe-mode IN, the configuration
   // GROUP BY … SKYLINE OF serves.
   std::set<core::KernelPolicy> served_kernels;
+  // kAuto as the executor requests it: pruning left at its default.
+  bool served_request = false;
   for (const DifferentialConfig& c : configs) {
     algorithms.insert(c.algorithm);
     if (!c.prune_strongly_dominated) safe_mode = true;
+    if (c.algorithm == core::Algorithm::kAuto && c.prune_strongly_dominated &&
+        c.kernel == core::KernelPolicy::kAuto) {
+      served_request = true;
+    }
     if (c.algorithm == core::Algorithm::kIndexed &&
         !c.prune_strongly_dominated && c.kernel != core::KernelPolicy::kAuto) {
       served_kernels.insert(c.kernel);
     }
   }
   EXPECT_TRUE(safe_mode);
-  EXPECT_EQ(algorithms.size(), 6u);  // BF, NL, TR, SI, IN, LO
+  EXPECT_TRUE(served_request);
+  EXPECT_EQ(algorithms.size(), 7u);  // BF, NL, TR, SI, IN, LO, AUTO
   EXPECT_EQ(served_kernels,
             (std::set<core::KernelPolicy>{
                 core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
@@ -175,6 +182,22 @@ TEST(ShrinkerTest, ReproducerRendersCompilableLookingCode) {
   EXPECT_NE(code.find("config.use_mbb = true"), std::string::npos);
   EXPECT_NE(code.find("example disagreement"), std::string::npos);
   EXPECT_NE(code.find("RunAndCheck"), std::string::npos);
+}
+
+TEST(ShrinkerTest, ReproducerKeepsNonDefaultOrdering) {
+  Reproducer repro;
+  repro.groups = {{{0.25, 0.5}}, {{0.5, 0.25}}};
+  repro.config.algorithm = core::Algorithm::kSorted;
+  repro.config.ordering = core::GroupOrdering::kSmallestFirstThenCorner;
+  std::string code = ReproducerToCpp(repro);
+  EXPECT_NE(code.find("  config.ordering = "
+                      "core::GroupOrdering::kSmallestFirstThenCorner;\n"),
+            std::string::npos)
+      << code;
+
+  // The default ordering stays implicit.
+  repro.config.ordering = core::GroupOrdering::kCornerDistance;
+  EXPECT_EQ(ReproducerToCpp(repro).find("config.ordering"), std::string::npos);
 }
 
 }  // namespace

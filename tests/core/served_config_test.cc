@@ -1,7 +1,7 @@
-// The configuration GROUP BY … SKYLINE OF serves — safe-mode IN
-// (Algorithm::kIndexed with prune_strongly_dominated = false) — under
-// every counting kernel: the dominated and strongly-dominated marks must
-// equal the Definition-3 oracle's on every workload shape, and the
+// The configuration GROUP BY … SKYLINE OF serves — Algorithm::kAuto, which
+// runs safe-mode IN (kIndexed with prune_strongly_dominated = false) —
+// under every counting kernel: the dominated and strongly-dominated marks
+// must equal the Definition-3 oracle's on every workload shape, and the
 // control plane must stop it cleanly mid-run.
 
 #include <cstdint>
@@ -26,8 +26,7 @@ namespace {
 
 DifferentialConfig ServedConfig(core::KernelPolicy kernel) {
   DifferentialConfig config;
-  config.algorithm = core::Algorithm::kIndexed;
-  config.prune_strongly_dominated = false;
+  config.algorithm = core::Algorithm::kAuto;
   config.kernel = kernel;
   return config;
 }
@@ -169,8 +168,7 @@ TEST_P(ServedConfigKernelTest, AbortedPairIsNotCounted) {
   core::ExecutionContext ctx;
   ctx.InjectCancelAtComparison(300);
   core::AggregateSkylineOptions options;
-  options.algorithm = core::Algorithm::kIndexed;
-  options.prune_strongly_dominated = false;
+  options.algorithm = core::Algorithm::kAuto;
   options.kernel = GetParam();
   options.use_stop_rule = false;
   options.exec = &ctx;

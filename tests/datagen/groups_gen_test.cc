@@ -143,7 +143,7 @@ TEST(GroupsGenTest, ToTableShape) {
   EXPECT_EQ(t.schema().column(1).name, "num");
   // num matches the group cardinality of the row's class.
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    const std::string& label = t.at(r, 0).AsString();
+    const std::string label = t.at(r, 0).AsString();
     size_t gid = ds.FindByLabel(label).value();
     EXPECT_EQ(t.at(r, 1).AsInt64(),
               static_cast<int64_t>(ds.group(gid).size()));

@@ -1,6 +1,8 @@
 #include "skyline/skyline.h"
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -40,8 +42,7 @@ TEST(RecordSkylineTest, Figure2MovieSkyline) {
 }
 
 TEST(RecordSkylineTest, EmptyInput) {
-  EXPECT_TRUE(Compute({}, AllMax(2), Algorithm::kBnl).empty());
-  EXPECT_TRUE(Compute({}, AllMax(2), Algorithm::kSfs).empty());
+  EXPECT_TRUE(Compute({}, AllMax(2)).empty());
 }
 
 TEST(RecordSkylineTest, SinglePoint) {
@@ -51,10 +52,7 @@ TEST(RecordSkylineTest, SinglePoint) {
 
 TEST(RecordSkylineTest, DuplicatePointsAllSurvive) {
   std::vector<std::vector<double>> pts = {{1, 1}, {1, 1}, {0, 0}};
-  EXPECT_EQ(Compute(pts, AllMax(2), Algorithm::kBnl),
-            (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(Compute(pts, AllMax(2), Algorithm::kSfs),
-            (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(Compute(pts, AllMax(2)), (std::vector<size_t>{0, 1}));
 }
 
 TEST(RecordSkylineTest, TotalOrderChainLeavesOnlyTop) {
@@ -79,25 +77,23 @@ struct SkylineParam {
   size_t count;
 };
 
+std::string ParamName(const SkylineParam& p) {
+  return std::string(datagen::DistributionToString(p.distribution)) + "_d" +
+         std::to_string(p.dims) + "_n" + std::to_string(p.count);
+}
+
+// Prints the parameter by its fields, not its bytes (which include
+// struct padding), so test names are the same in every build.
+void PrintTo(const SkylineParam& p, std::ostream* os) { *os << ParamName(p); }
+
 class SkylineAgreementTest : public ::testing::TestWithParam<SkylineParam> {};
 
-TEST_P(SkylineAgreementTest, AllAlgorithmsAgreeWithNaive) {
+TEST_P(SkylineAgreementTest, SfsAgreesWithNaive) {
   const SkylineParam& p = GetParam();
   Rng rng(static_cast<uint64_t>(p.dims * 1000 + p.count));
   auto pts = datagen::SamplePoints(p.distribution, p.dims, p.count, rng);
   PreferenceList prefs = AllMax(p.dims);
-
-  SkylineStats bnl_stats, sfs_stats, dc_stats;
-  auto bnl = Compute(pts, prefs, Algorithm::kBnl, &bnl_stats);
-  auto sfs = Compute(pts, prefs, Algorithm::kSfs, &sfs_stats);
-  auto dc = Compute(pts, prefs, Algorithm::kDivideConquer, &dc_stats);
-  auto naive = NaiveSkyline(pts, prefs);
-  EXPECT_EQ(bnl, naive);
-  EXPECT_EQ(sfs, naive);
-  EXPECT_EQ(dc, naive);
-  EXPECT_GT(bnl_stats.dominance_tests, 0u);
-  EXPECT_GT(sfs_stats.dominance_tests, 0u);
-  EXPECT_GT(dc_stats.dominance_tests, 0u);
+  EXPECT_EQ(Compute(pts, prefs), NaiveSkyline(pts, prefs));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,7 +106,10 @@ INSTANTIATE_TEST_SUITE_P(
         SkylineParam{datagen::Distribution::kCorrelated, 5, 200},
         SkylineParam{datagen::Distribution::kAntiCorrelated, 2, 300},
         SkylineParam{datagen::Distribution::kAntiCorrelated, 4, 200},
-        SkylineParam{datagen::Distribution::kAntiCorrelated, 6, 150}));
+        SkylineParam{datagen::Distribution::kAntiCorrelated, 6, 150}),
+    [](const ::testing::TestParamInfo<SkylineParam>& param_info) {
+      return ParamName(param_info.param);
+    });
 
 TEST(RecordSkylineTest, AntiCorrelatedSkylineLargerThanCorrelated) {
   Rng rng1(5), rng2(5);
@@ -123,49 +122,34 @@ TEST(RecordSkylineTest, AntiCorrelatedSkylineLargerThanCorrelated) {
   EXPECT_GT(anti_size, corr_size * 2);
 }
 
-TEST(RecordSkylineTest, SfsDoesFewerTestsThanBnlOnAverage) {
-  Rng rng(77);
-  auto pts = datagen::SamplePoints(datagen::Distribution::kIndependent, 4,
-                                   3000, rng);
-  SkylineStats bnl_stats, sfs_stats;
-  Compute(pts, AllMax(4), Algorithm::kBnl, &bnl_stats);
-  Compute(pts, AllMax(4), Algorithm::kSfs, &sfs_stats);
-  // Presorting guarantees accepted points are final and tends to prune
-  // faster; allow slack but expect no blow-up.
-  EXPECT_LE(sfs_stats.dominance_tests, bnl_stats.dominance_tests * 2);
-}
-
-TEST(RecordSkylineTest, DivideConquerHandlesDimensionTies) {
-  // Every point shares attribute 0: the partition is degenerate and the
-  // algorithm must fall back gracefully.
+TEST(RecordSkylineTest, SfsHandlesDimensionTies) {
+  // Every point shares attribute 0, so it never breaks a tie.
   std::vector<std::vector<double>> pts;
   Rng rng(31);
   for (int i = 0; i < 300; ++i) {
     pts.push_back({0.5, rng.NextDouble(), rng.NextDouble()});
   }
   PreferenceList prefs = AllMax(3);
-  EXPECT_EQ(Compute(pts, prefs, Algorithm::kDivideConquer),
-            NaiveSkyline(pts, prefs));
+  EXPECT_EQ(Compute(pts, prefs), NaiveSkyline(pts, prefs));
 }
 
-TEST(RecordSkylineTest, DivideConquerManyDuplicatePoints) {
+TEST(RecordSkylineTest, SfsManyDuplicatePoints) {
+  // Three distinct points, each repeated; all share one presort score.
   std::vector<std::vector<double>> pts;
   for (int i = 0; i < 200; ++i) {
     pts.push_back({static_cast<double>(i % 3), static_cast<double>(2 - i % 3)});
   }
   PreferenceList prefs = AllMax(2);
-  EXPECT_EQ(Compute(pts, prefs, Algorithm::kDivideConquer),
-            NaiveSkyline(pts, prefs));
+  EXPECT_EQ(Compute(pts, prefs), NaiveSkyline(pts, prefs));
 }
 
-TEST(RecordSkylineTest, DivideConquerWithMinPreferences) {
+TEST(RecordSkylineTest, SfsWithMixedMinMaxPreferences) {
   Rng rng(33);
   auto pts = datagen::SamplePoints(datagen::Distribution::kIndependent, 3,
                                    500, rng);
   PreferenceList prefs = {Preference::kMin, Preference::kMax,
                           Preference::kMin};
-  EXPECT_EQ(Compute(pts, prefs, Algorithm::kDivideConquer),
-            NaiveSkyline(pts, prefs));
+  EXPECT_EQ(Compute(pts, prefs), NaiveSkyline(pts, prefs));
 }
 
 TEST(RecordSkylineTest, ComputeOnTableValidatesArity) {

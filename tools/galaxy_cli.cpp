@@ -4,9 +4,10 @@
 //                       [--timeout-ms N] [--max-comparisons N] [--strict]
 //   galaxy_cli skyline  --csv data.csv --group-by col --attrs a,b[,c...]
 //                       [--gamma 0.5] [--algorithm NL|TR|SI|IN|LO|BF|AUTO]
+//                       (AUTO, the default, is the configuration
+//                       GROUP BY … SKYLINE OF serves: exact safe-mode IN)
 //                       [--rank] [--representatives K]
 //                       [--timeout-ms N] [--max-comparisons N] [--strict]
-//   galaxy_cli profile  --csv data.csv --group-by col --attrs a,b
 //   galaxy_cli generate --type imdb|nba|grouped --out out.csv
 //                       [--records N] [--seed S]
 //
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "common/str_util.h"
-#include "core/adaptive.h"
 #include "core/aggregate_skyline.h"
 #include "core/exec_context.h"
 #include "core/representative.h"
@@ -134,7 +134,7 @@ int UsageError(const std::string& message) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: galaxy_cli <query|skyline|profile|generate> "
+               "usage: galaxy_cli <query|skyline|generate> "
                "[--flags]\n(see the header of tools/galaxy_cli.cpp)\n");
   return 2;
 }
@@ -331,25 +331,6 @@ int RunSkyline(Flags& flags) {
   return 0;
 }
 
-int RunProfile(Flags& flags) {
-  if (!flags.CheckAllowed({"csv", "group-by", "attrs"})) {
-    return UsageError(flags.error());
-  }
-  auto table = LoadCsv(flags);
-  if (!table.ok()) return Fail(table.status());
-  auto dataset = BuildGrouping(flags, *table);
-  if (!dataset.ok()) return Fail(dataset.status());
-  galaxy::core::WorkloadProfile profile =
-      galaxy::core::ProfileWorkload(*dataset);
-  std::printf("%s\n", profile.ToString().c_str());
-  galaxy::core::AdaptiveChoice choice =
-      galaxy::core::ChooseAlgorithm(profile);
-  std::printf("planner choice: %s, ordering %s\n",
-              galaxy::core::AlgorithmToString(choice.algorithm),
-              galaxy::core::GroupOrderingToString(choice.ordering));
-  return 0;
-}
-
 int RunGenerate(Flags& flags) {
   if (!flags.CheckAllowed({"out", "type", "records", "seed"})) {
     return UsageError(flags.error());
@@ -406,7 +387,6 @@ int main(int argc, char** argv) {
   if (!flags.ok()) return UsageError(flags.error());
   if (command == "query") return RunQuery(flags);
   if (command == "skyline") return RunSkyline(flags);
-  if (command == "profile") return RunProfile(flags);
   if (command == "generate") return RunGenerate(flags);
   return UsageError("unknown command: " + command);
 }
