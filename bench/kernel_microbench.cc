@@ -1,10 +1,11 @@
 // Microbenchmark of the dominance-counting kernels (core/count_kernel.h):
 // raw CountBlock throughput against the scalar per-pair loop across
-// dimensionalities and distributions, and ClassifyPair under each
-// KernelPolicy. Emits a machine-readable JSON report (default
-// BENCH_kernel.json) whose speedup ratios — not absolute times — feed the
-// CI regression gate (scripts/check_bench_regression.py); ratios compare
-// two code paths on the same machine and stay stable across hardware.
+// dimensionalities and distributions, and ClassifyPair on each side of its
+// kernel rule (d = 4 tiles, d = 6 runs the sorted kernel). Emits a
+// machine-readable JSON report (default BENCH_kernel.json) whose speedup
+// ratios — not absolute times — feed the CI regression gate
+// (scripts/check_bench_regression.py); ratios compare two code paths on
+// the same machine and stay stable across hardware.
 //
 // Usage: kernel_microbench [--quick] [--out=PATH]
 //   --quick   smaller workloads and shorter timing windows (CI smoke mode)
@@ -117,7 +118,8 @@ int Main(int argc, char** argv) {
   // ---- Raw block-counting throughput vs the scalar loop. -----------------
   const size_t block_n = quick ? 256 : 1024;
   const std::vector<size_t> dims_list =
-      quick ? std::vector<size_t>{2, 4} : std::vector<size_t>{2, 3, 4, 6, 8};
+      quick ? std::vector<size_t>{2, 4}
+            : std::vector<size_t>{2, 3, 4, 5, 6, 7, 8};
   for (bool anti : {false, true}) {
     if (quick && anti) break;
     for (size_t dims : dims_list) {
@@ -149,71 +151,31 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- 2D sweep vs the quadratic kernels. --------------------------------
-  {
-    const size_t n = quick ? 1024 : 4096;
-    std::vector<double> rows1 = MakeRows(rng, n, 2, false);
-    std::vector<double> rows2 = MakeRows(rng, n, 2, false);
-    const double pairs = static_cast<double>(n) * n;
-    core::kernel::Sweep2DScratch scratch;
-    double tiled_s = TimeOp(
-        [&] {
-          core::kernel::KernelCounts c = core::kernel::CountBlock(
-              rows1.data(), n, rows2.data(), n, 2);
-          g_sink += c.n12 + c.n21;
-        },
-        window);
-    double sweep_s = TimeOp(
-        [&] {
-          core::kernel::KernelCounts c = core::kernel::CountPairsSweep2D(
-              rows1.data(), n, rows2.data(), n, &scratch);
-          g_sink += c.n12 + c.n21;
-        },
-        window);
-    BenchJsonEntry e;
-    e.name = "sweep2d_n" + std::to_string(n);
-    e.metrics.emplace_back("pairs_per_sec", pairs / sweep_s);
-    e.metrics.emplace_back("tiled_pairs_per_sec", pairs / tiled_s);
-    e.metrics.emplace_back("speedup_vs_tiled", tiled_s / sweep_s);
-    PrintEntry(e);
-    entries.push_back(std::move(e));
-  }
-
-  // ---- ClassifyPair under each policy (stop rule on, realistic path). ----
-  {
+  // ---- ClassifyPair on each side of the kernel rule (stop rule on). -----
+  // The entry name carries the kernel the rule chose.
+  for (size_t dims : {4u, 6u}) {
     const size_t k = quick ? 1000 : 4000;
-    const size_t dims = 4;
     core::Group g1(0, "a", MakeRows(rng, k, dims, false), dims);
     core::Group g2(1, "b", MakeRows(rng, k, dims, false), dims);
     core::GammaThresholds thresholds =
         core::GammaThresholds::FromGamma(0.8);
-    double scalar_s = 0.0;
-    for (core::KernelPolicy policy :
-         {core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
-          core::KernelPolicy::kSorted, core::KernelPolicy::kAuto}) {
-      core::PairCompareOptions options;
-      options.kernel = policy;
-      uint64_t comparisons = 0;
-      double s = TimeOp(
-          [&] {
-            core::PairCompareStats stats;
-            core::PairOutcome outcome = core::ClassifyPair(
-                g1, g2, thresholds, options, &stats);
-            g_sink += static_cast<uint64_t>(outcome);
-            comparisons = stats.record_comparisons;
-          },
-          window);
-      if (policy == core::KernelPolicy::kScalar) scalar_s = s;
-      BenchJsonEntry e;
-      e.name = std::string("classify_pair_d4_") +
-               core::KernelPolicyToString(policy);
-      e.metrics.emplace_back("seconds_per_call", s);
-      e.metrics.emplace_back("record_comparisons",
-                             static_cast<double>(comparisons));
-      e.metrics.emplace_back("speedup_vs_scalar", scalar_s / s);
-      PrintEntry(e);
-      entries.push_back(std::move(e));
-    }
+    core::PairCompareStats stats;
+    double s = TimeOp(
+        [&] {
+          stats = core::PairCompareStats{};
+          core::PairOutcome outcome = core::ClassifyPair(
+              g1, g2, thresholds, core::PairCompareOptions{}, &stats);
+          g_sink += static_cast<uint64_t>(outcome);
+        },
+        window);
+    BenchJsonEntry e;
+    e.name = "classify_pair_d" + std::to_string(dims) + "_" +
+             core::KernelPolicyToString(stats.kernel_used);
+    e.metrics.emplace_back("seconds_per_call", s);
+    e.metrics.emplace_back("record_comparisons",
+                           static_cast<double>(stats.record_comparisons));
+    PrintEntry(e);
+    entries.push_back(std::move(e));
   }
 
   if (out_path != "-") {

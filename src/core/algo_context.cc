@@ -23,7 +23,6 @@ AlgoContext::AlgoContext(const GroupedDataset& dataset,
   pair_options_.use_mbb =
       options.use_mbb || options.algorithm == Algorithm::kIndexedBbox;
   pair_options_.exec = options.exec;
-  pair_options_.kernel = options.kernel;
   if (options.algorithm == Algorithm::kBruteForce) {
     // The reference mode does every record comparison unconditionally —
     // but it still honors the control plane.

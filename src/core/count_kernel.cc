@@ -12,16 +12,10 @@ namespace galaxy::core {
 
 const char* KernelPolicyToString(KernelPolicy policy) {
   switch (policy) {
-    case KernelPolicy::kAuto:
-      return "auto";
-    case KernelPolicy::kScalar:
-      return "scalar";
     case KernelPolicy::kTiled:
       return "tiled";
     case KernelPolicy::kSorted:
       return "sorted";
-    case KernelPolicy::kSweep2D:
-      return "sweep2d";
   }
   return "?";
 }
@@ -339,145 +333,6 @@ void BuildPrefixMin(const double* rows, size_t n, size_t dims,
           std::min(rows[i * dims + k], o[(i - 1) * dims + k]);
     }
   }
-}
-
-namespace {
-
-// Counts ordered pairs (a in A, b in B) with a.x >= b.x and a.y >= b.y via
-// one descending-x sweep with a Fenwick tree over compressed A-y ranks.
-// Ties on x insert the A point first (>= admits equality).
-uint64_t CountGe2D(const double* xs_a, const double* ys_a, size_t na,
-                   const size_t* order_a, const double* xs_b,
-                   const double* ys_b, size_t nb, const size_t* order_b,
-                   Sweep2DScratch* scratch) {
-  if (na == 0 || nb == 0) return 0;
-  std::vector<double>& uy = scratch->unique_y;
-  uy.assign(ys_a, ys_a + na);
-  std::sort(uy.begin(), uy.end());
-  uy.erase(std::unique(uy.begin(), uy.end()), uy.end());
-
-  std::vector<uint32_t>& fen = scratch->fenwick;
-  fen.assign(uy.size() + 1, 0);
-  auto add = [&](double y) {
-    size_t r =
-        static_cast<size_t>(std::lower_bound(uy.begin(), uy.end(), y) -
-                            uy.begin()) +
-        1;
-    for (; r < fen.size(); r += r & (~r + 1)) ++fen[r];
-  };
-  // Number of inserted A-ys strictly below y.
-  auto count_below = [&](double y) {
-    size_t r = static_cast<size_t>(
-        std::lower_bound(uy.begin(), uy.end(), y) - uy.begin());
-    uint64_t s = 0;
-    for (; r > 0; r -= r & (~r + 1)) s += fen[r];
-    return s;
-  };
-
-  uint64_t total = 0;
-  uint64_t inserted = 0;
-  size_t ia = 0;
-  for (size_t ib = 0; ib < nb; ++ib) {
-    const size_t b = order_b[ib];
-    while (ia < na && xs_a[order_a[ia]] >= xs_b[b]) {
-      add(ys_a[order_a[ia]]);
-      ++ia;
-      ++inserted;
-    }
-    total += inserted - count_below(ys_b[b]);
-  }
-  return total;
-}
-
-// Ordered pairs with exactly equal coordinates (dominating in neither
-// direction, but counted by the >= sweep above).
-uint64_t CountEqualPairs2D(const double* xs1, const double* ys1, size_t n1,
-                           const size_t* order1, const double* xs2,
-                           const double* ys2, size_t n2,
-                           const size_t* order2) {
-  // Both orders are (x desc, y desc); equal points are contiguous runs.
-  uint64_t total = 0;
-  size_t i = 0;
-  size_t j = 0;
-  auto less = [](double ax, double ay, double bx, double by) {
-    if (ax != bx) return ax > bx;  // descending x
-    return ay > by;                // descending y
-  };
-  while (i < n1 && j < n2) {
-    const size_t a = order1[i];
-    const size_t b = order2[j];
-    if (xs1[a] == xs2[b] && ys1[a] == ys2[b]) {
-      size_t ri = i;
-      while (ri < n1 && xs1[order1[ri]] == xs1[a] &&
-             ys1[order1[ri]] == ys1[a]) {
-        ++ri;
-      }
-      size_t rj = j;
-      while (rj < n2 && xs2[order2[rj]] == xs2[b] &&
-             ys2[order2[rj]] == ys2[b]) {
-        ++rj;
-      }
-      total += static_cast<uint64_t>(ri - i) * (rj - j);
-      i = ri;
-      j = rj;
-    } else if (less(xs1[a], ys1[a], xs2[b], ys2[b])) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
-KernelCounts CountPairsSweep2D(const double* rows1, size_t n1,
-                               const double* rows2, size_t n2,
-                               Sweep2DScratch* scratch) {
-  KernelCounts c;
-  if (n1 == 0 || n2 == 0) return c;
-
-  scratch->xs1.resize(n1);
-  scratch->ys1.resize(n1);
-  for (size_t i = 0; i < n1; ++i) {
-    scratch->xs1[i] = rows1[i * 2];
-    scratch->ys1[i] = rows1[i * 2 + 1];
-  }
-  scratch->xs2.resize(n2);
-  scratch->ys2.resize(n2);
-  for (size_t j = 0; j < n2; ++j) {
-    scratch->xs2[j] = rows2[j * 2];
-    scratch->ys2[j] = rows2[j * 2 + 1];
-  }
-
-  auto make_order = [](const std::vector<double>& xs,
-                       const std::vector<double>& ys,
-                       std::vector<size_t>* order) {
-    order->resize(xs.size());
-    std::iota(order->begin(), order->end(), size_t{0});
-    std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-      if (xs[a] != xs[b]) return xs[a] > xs[b];
-      if (ys[a] != ys[b]) return ys[a] > ys[b];
-      return a < b;
-    });
-  };
-  make_order(scratch->xs1, scratch->ys1, &scratch->order1);
-  make_order(scratch->xs2, scratch->ys2, &scratch->order2);
-
-  const uint64_t equal = CountEqualPairs2D(
-      scratch->xs1.data(), scratch->ys1.data(), n1, scratch->order1.data(),
-      scratch->xs2.data(), scratch->ys2.data(), n2, scratch->order2.data());
-  const uint64_t ge12 = CountGe2D(
-      scratch->xs1.data(), scratch->ys1.data(), n1, scratch->order1.data(),
-      scratch->xs2.data(), scratch->ys2.data(), n2, scratch->order2.data(),
-      scratch);
-  const uint64_t ge21 = CountGe2D(
-      scratch->xs2.data(), scratch->ys2.data(), n2, scratch->order2.data(),
-      scratch->xs1.data(), scratch->ys1.data(), n1, scratch->order1.data(),
-      scratch);
-  c.n12 = ge12 - equal;
-  c.n21 = ge21 - equal;
-  return c;
 }
 
 }  // namespace kernel

@@ -6,7 +6,7 @@
 // already MAX-oriented (MIN attributes negated at group construction), so
 // a record r dominates s iff r >= s componentwise and r != s.
 //
-// Three families, selected by KernelPolicy:
+// Two families; ClassifyPair picks one per pair (see KernelPolicy):
 //  - tiled:  branch-free two-way counting over a cache-blocked tile of the
 //            rest1 x rest2 residual matrix (dimension-specialized for
 //            d = 2..8, generic fallback), preserving the incremental stop
@@ -16,9 +16,7 @@
 //            may-be-dominated suffix (records with a strictly larger score
 //            can never be dominated), each scanned with a cheaper one-way
 //            predicate, with whole-range bulk counts against the prefix
-//            min / suffix max corners;
-//  - sweep:  an exact O(n log n) two-dimensional dominance-pair count
-//            (sort + Fenwick tree) for d = 2.
+//            min / suffix max corners.
 //
 // This header is dependency-light on purpose (no gamma.h / group.h): the
 // stop-rule orchestration lives in ClassifyPair (core/gamma.cc), which
@@ -30,23 +28,17 @@
 
 namespace galaxy::core {
 
-/// Which counting kernel ClassifyPair uses for the residual scan. Every
-/// policy produces the identical PairOutcome; policies differ only in the
-/// work performed (and therefore in the reported comparison counts).
+/// The counting kernel ClassifyPair ran for a residual scan (reported as
+/// PairCompareStats::kernel_used). The choice is internal to ClassifyPair:
+/// it tiles a charged scan, an exhaustive scan (stop rule off), any scan at
+/// d <= kTiledMaxDims and any residual below kSortedMinPairs, and runs the
+/// sorted kernel otherwise. Both kernels produce the identical PairOutcome;
+/// they differ only in the work performed.
 enum class KernelPolicy {
-  /// Pick per pair: tiled for exhaustive/bounded scans, sweep for large
-  /// two-dimensional residuals, sorted for large residuals otherwise.
-  kAuto,
-  /// The legacy per-pair CompareDominance loop (reference behavior; counts
-  /// exactly one record comparison per resolved pair).
-  kScalar,
   /// Cache-blocked branch-free tiles with per-tile stop checks.
   kTiled,
   /// Monotone-score ordered scan with one-way tests and bulk corner counts.
   kSorted,
-  /// Exact 2D sweep; silently falls back to kTiled when d != 2 or when an
-  /// ExecutionContext demands fine-grained charging.
-  kSweep2D,
 };
 
 const char* KernelPolicyToString(KernelPolicy policy);
@@ -59,9 +51,11 @@ struct KernelCounts {
   uint64_t n21 = 0;  ///< pairs with s ≻ r
 };
 
-/// Auto-policy thresholds (exposed for tests and benches).
-/// Residual-pair count from which the d=2 sweep beats the quadratic scan.
-inline constexpr uint64_t kSweepMinPairs = 1ull << 16;
+/// Kernel-choice thresholds (exposed for tests and benches).
+/// Largest dimensionality the tiled kernel always takes: CountBlock fills
+/// its vector lanes up to d = 4, and there the tiles beat the sorted
+/// kernel on the Figure-10, NBA and served workloads (EXPERIMENTS.md).
+inline constexpr size_t kTiledMaxDims = 4;
 /// Residual-pair count from which the sorted path's O(k log k) setup pays.
 inline constexpr uint64_t kSortedMinPairs = 256;
 /// Tile edge lengths of the blocked scan (pairs per tile = kTileRows *
@@ -93,20 +87,6 @@ uint64_t CountDominatingOneWay(const double* r, const double* rows, size_t n,
 
 /// True iff a >= b on every dimension.
 bool GeqAll(const double* a, const double* b, size_t dims);
-
-/// Exact dominance-pair counts for d = 2 in O((n1 + n2) log(n1 + n2)):
-/// for each direction, counts pairs with componentwise >= via a sort +
-/// Fenwick sweep, then subtracts the exactly-equal pairs (which dominate
-/// in neither direction). `scratch` is reused across calls.
-struct Sweep2DScratch {
-  std::vector<double> xs1, ys1, xs2, ys2;
-  std::vector<size_t> order1, order2;
-  std::vector<double> unique_y;
-  std::vector<uint32_t> fenwick;
-};
-KernelCounts CountPairsSweep2D(const double* rows1, size_t n1,
-                               const double* rows2, size_t n2,
-                               Sweep2DScratch* scratch);
 
 /// Copies the rows listed in `idx` (indexes into a row-major buffer of
 /// `dims`-wide rows) into the packed buffer `out` (resized to n * dims).

@@ -236,7 +236,6 @@ struct ScanScratch {
   std::vector<uint32_t> order1, order2;
   std::vector<double> scores1, scores2;
   std::vector<double> suffmax2, premin2;
-  kernel::Sweep2DScratch sweep;
 };
 
 ScanScratch& TlsScanScratch() {
@@ -281,73 +280,20 @@ struct ScanState {
   }
 };
 
-// Resolves kAuto per pair. A charged scan always tiles (one bounded tile =
-// one charge batch keeps the documented unwind latency); exhaustive scans
-// tile for predictable reference counting; large stop-rule scans take the
-// 2D sweep or the sorted-score path. An explicit kSweep2D demotes to
-// kTiled when it cannot run (d != 2, or fine-grained charging required).
-KernelPolicy ResolveKernelPolicy(KernelPolicy requested, size_t dims,
-                                 uint64_t residual_pairs, bool use_stop_rule,
-                                 bool has_exec) {
-  KernelPolicy p = requested;
-  if (p == KernelPolicy::kAuto) {
-    if (has_exec || !use_stop_rule) {
-      p = KernelPolicy::kTiled;
-    } else if (dims == 2 && residual_pairs >= kernel::kSweepMinPairs) {
-      p = KernelPolicy::kSweep2D;
-    } else if (residual_pairs >= kernel::kSortedMinPairs) {
-      p = KernelPolicy::kSorted;
-    } else {
-      p = KernelPolicy::kTiled;
-    }
+// The kernel rule. A charged scan tiles (one bounded tile = one charge
+// batch keeps the documented unwind latency); an exhaustive scan tiles for
+// predictable reference counting; at d <= kTiledMaxDims CountBlock fills
+// its vector lanes and the tiles win on the measured workloads; a small
+// residual does not pay for the sorted path's setup. Large stop-rule scans
+// at higher d take the sorted kernel, whose one-way ranges and corner
+// counts skip work the under-filled d >= 5 tiles cannot.
+KernelPolicy ChooseKernel(size_t dims, uint64_t residual_pairs,
+                          bool use_stop_rule, bool has_exec) {
+  if (has_exec || !use_stop_rule || dims <= kernel::kTiledMaxDims ||
+      residual_pairs < kernel::kSortedMinPairs) {
+    return KernelPolicy::kTiled;
   }
-  if (p == KernelPolicy::kSweep2D && (dims != 2 || has_exec)) {
-    p = KernelPolicy::kTiled;
-  }
-  return p;
-}
-
-// The legacy per-pair CompareDominance loop (KernelPolicy::kScalar): one
-// span-based comparison and one resolved pair per step, decidability
-// checked per inner row plus every kCheckStride pairs inside long rows.
-// Returns true when the scan ended early (decided into *outcome, or
-// st.aborted).
-bool ScanScalar(const Group& g1, const Group& g2,
-                const std::vector<uint32_t>* rest1,
-                const std::vector<uint32_t>* rest2, bool use_stop_rule,
-                const GammaThresholds& thresholds, ScanState& st,
-                PairOutcome* outcome) {
-  constexpr uint64_t kCheckStride = 1024;
-  uint64_t next_check = st.resolved + kCheckStride;
-  const size_t k1 = rest1 != nullptr ? rest1->size() : g1.size();
-  const size_t k2 = rest2 != nullptr ? rest2->size() : g2.size();
-  for (size_t ii = 0; ii < k1; ++ii) {
-    auto r = g1.point(rest1 != nullptr ? (*rest1)[ii] : ii);
-    for (size_t jj = 0; jj < k2; ++jj) {
-      skyline::DominanceResult cmp = skyline::CompareDominance(
-          r, g2.point(rest2 != nullptr ? (*rest2)[jj] : jj));
-      if (cmp == skyline::DominanceResult::kLeftDominates) {
-        ++st.n12;
-      } else if (cmp == skyline::DominanceResult::kRightDominates) {
-        ++st.n21;
-      }
-      ++st.resolved;
-      if (!st.Charge(1)) return true;
-      if (use_stop_rule && st.resolved >= next_check) {
-        next_check = st.resolved + kCheckStride;
-        if (internal::TryResolveOutcome(st.n12, st.n21, st.resolved,
-                                        st.total, thresholds, outcome)) {
-          return true;
-        }
-      }
-    }
-    if (use_stop_rule &&
-        internal::TryResolveOutcome(st.n12, st.n21, st.resolved, st.total,
-                                    thresholds, outcome)) {
-      return true;
-    }
-  }
-  return false;
+  return KernelPolicy::kSorted;
 }
 
 // Cache-blocked branch-free counting; the incremental stop rule runs at
@@ -557,69 +503,35 @@ PairOutcome ClassifyPair(const Group& g1, const Group& g2,
     return outcome;
   }
 
-  const KernelPolicy policy =
-      ResolveKernelPolicy(options.kernel, dims, residual_pairs,
-                          options.use_stop_rule, exec != nullptr);
+  const KernelPolicy policy = ChooseKernel(
+      dims, residual_pairs, options.use_stop_rule, exec != nullptr);
   if (stats != nullptr) stats->kernel_used = policy;
 
   bool ended_early = false;
   if (residual_pairs > 0) {
     ScanScratch& sc = TlsScanScratch();
-    switch (policy) {
-      case KernelPolicy::kScalar:
-        ended_early = ScanScalar(g1, g2, rest1_ptr, rest2_ptr,
-                                 options.use_stop_rule, thresholds, st,
-                                 &outcome);
-        break;
-      case KernelPolicy::kSorted: {
-        BuildSortedSide(g1, rest1_ptr, &sc.rows1, &sc.order1, &sc.sorted1,
-                        &sc.scores1);
-        BuildSortedSide(g2, rest2_ptr, &sc.rows2, &sc.order2, &sc.sorted2,
-                        &sc.scores2);
-        ended_early = ScanSorted(sc.sorted1.data(), sc.scores1.data(), k1,
-                                 sc.sorted2.data(), sc.scores2.data(), k2,
-                                 dims, options.use_stop_rule, thresholds, st,
-                                 sc, &outcome);
-        break;
+    if (policy == KernelPolicy::kSorted) {
+      BuildSortedSide(g1, rest1_ptr, &sc.rows1, &sc.order1, &sc.sorted1,
+                      &sc.scores1);
+      BuildSortedSide(g2, rest2_ptr, &sc.rows2, &sc.order2, &sc.sorted2,
+                      &sc.scores2);
+      ended_early = ScanSorted(sc.sorted1.data(), sc.scores1.data(), k1,
+                               sc.sorted2.data(), sc.scores2.data(), k2, dims,
+                               options.use_stop_rule, thresholds, st, sc,
+                               &outcome);
+    } else {
+      const double* rows1 = g1.data().data();
+      const double* rows2 = g2.data().data();
+      if (rest1_ptr != nullptr) {
+        kernel::GatherRows(rows1, rest1_ptr->data(), k1, dims, &sc.rows1);
+        rows1 = sc.rows1.data();
       }
-      case KernelPolicy::kSweep2D: {
-        const double* rows1 = g1.data().data();
-        const double* rows2 = g2.data().data();
-        if (rest1_ptr != nullptr) {
-          kernel::GatherRows(rows1, rest1_ptr->data(), k1, dims, &sc.rows1);
-          rows1 = sc.rows1.data();
-        }
-        if (rest2_ptr != nullptr) {
-          kernel::GatherRows(rows2, rest2_ptr->data(), k2, dims, &sc.rows2);
-          rows2 = sc.rows2.data();
-        }
-        kernel::KernelCounts c =
-            kernel::CountPairsSweep2D(rows1, k1, rows2, k2, &sc.sweep);
-        st.n12 += c.n12;
-        st.n21 += c.n21;
-        st.resolved += residual_pairs;
-        // The sweep touches each record O(log n) times rather than each
-        // pair once; account the linear passes, not k1*k2.
-        st.comparisons += static_cast<uint64_t>(k1) + k2;
-        break;
+      if (rest2_ptr != nullptr) {
+        kernel::GatherRows(rows2, rest2_ptr->data(), k2, dims, &sc.rows2);
+        rows2 = sc.rows2.data();
       }
-      case KernelPolicy::kTiled:
-      case KernelPolicy::kAuto: {  // kAuto resolved above; tiled fallback
-        const double* rows1 = g1.data().data();
-        const double* rows2 = g2.data().data();
-        if (rest1_ptr != nullptr) {
-          kernel::GatherRows(rows1, rest1_ptr->data(), k1, dims, &sc.rows1);
-          rows1 = sc.rows1.data();
-        }
-        if (rest2_ptr != nullptr) {
-          kernel::GatherRows(rows2, rest2_ptr->data(), k2, dims, &sc.rows2);
-          rows2 = sc.rows2.data();
-        }
-        ended_early = ScanTiled(rows1, k1, rows2, k2, dims,
-                                options.use_stop_rule, thresholds, st,
-                                &outcome);
-        break;
-      }
+      ended_early = ScanTiled(rows1, k1, rows2, k2, dims,
+                              options.use_stop_rule, thresholds, st, &outcome);
     }
   }
 

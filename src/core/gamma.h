@@ -68,8 +68,9 @@ struct PairCompareStats {
   /// Records (from either group) classified analytically against the other
   /// group's MBB corners, skipping their pairwise scans entirely.
   uint64_t records_preclassified = 0;
-  /// The counting kernel that ran the residual scan (kAuto resolved).
-  KernelPolicy kernel_used = KernelPolicy::kAuto;
+  /// The counting kernel ClassifyPair chose for the residual scan (left
+  /// at kTiled when no scan ran).
+  KernelPolicy kernel_used = KernelPolicy::kTiled;
   bool mbb_strict_shortcut = false;    ///< decided by min/max corner alone
   bool stopped_early = false;          ///< stop rule fired before full scan
   /// The governing ExecutionContext stopped the scan before the pair was
@@ -101,17 +102,15 @@ struct PairCompareOptions {
   /// (stats->aborted) within one batch of the context stopping. Null means
   /// unbounded (no charging at all).
   ExecutionContext* exec = nullptr;
-  /// Counting kernel for the residual scan (core/count_kernel.h). Every
-  /// policy yields the identical PairOutcome; kAuto picks tiled for
-  /// exhaustive or charged scans, the 2D sweep or the sorted-score path
-  /// for large residuals otherwise.
-  KernelPolicy kernel = KernelPolicy::kAuto;
 };
 
 /// Classifies the pair (g1, g2) against the thresholds. The result is
 /// identical for every option combination; options only change the work
-/// performed. `stats` may be null. A pair involving an empty group is
-/// always kIncomparable (see DominationProbability).
+/// performed. The residual scan tiles when charged, when the stop rule is
+/// off, at d <= kernel::kTiledMaxDims or below kernel::kSortedMinPairs
+/// residual pairs, and runs the sorted kernel otherwise
+/// (core/count_kernel.h). `stats` may be null. A pair involving an empty
+/// group is always kIncomparable (see DominationProbability).
 PairOutcome ClassifyPair(const Group& g1, const Group& g2,
                          const GammaThresholds& thresholds,
                          const PairCompareOptions& options = {},

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/count_kernel.h"
 #include "core/exec_context.h"
 
 namespace galaxy::core {
@@ -75,13 +74,6 @@ struct AggregateSkylineOptions {
   /// Strong domination then fires less often, trading pruning for a sound
   /// two-step chain argument.
   bool use_proven_gamma_bar = false;
-
-  /// Counting kernel driving every pairwise residual scan
-  /// (core/count_kernel.h). Any policy produces the identical result;
-  /// kAuto picks per pair (tiled SIMD blocks for exhaustive or budgeted
-  /// scans, the sorted-score early-exit path or the 2D sweep for large
-  /// unbudgeted ones). kScalar is the pre-kernel reference loop.
-  KernelPolicy kernel = KernelPolicy::kAuto;
 
   /// Group access ordering for kSorted / kIndexed / kIndexedBbox.
   GroupOrdering ordering = GroupOrdering::kCornerDistance;

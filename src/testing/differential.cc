@@ -30,22 +30,6 @@ const char* AlgorithmEnumLiteral(core::Algorithm algorithm) {
   return "?";
 }
 
-const char* KernelPolicyEnumLiteral(core::KernelPolicy policy) {
-  switch (policy) {
-    case core::KernelPolicy::kAuto:
-      return "core::KernelPolicy::kAuto";
-    case core::KernelPolicy::kScalar:
-      return "core::KernelPolicy::kScalar";
-    case core::KernelPolicy::kTiled:
-      return "core::KernelPolicy::kTiled";
-    case core::KernelPolicy::kSorted:
-      return "core::KernelPolicy::kSorted";
-    case core::KernelPolicy::kSweep2D:
-      return "core::KernelPolicy::kSweep2D";
-  }
-  return "?";
-}
-
 const char* GroupOrderingEnumLiteral(core::GroupOrdering ordering) {
   switch (ordering) {
     case core::GroupOrdering::kCornerDistance:
@@ -89,10 +73,6 @@ std::string DifferentialConfig::Name() const {
   }
   out += " mbb=" + std::to_string(use_mbb ? 1 : 0) +
          " stop=" + std::to_string(use_stop_rule ? 1 : 0);
-  if (kernel != core::KernelPolicy::kAuto) {
-    out += " kern=";
-    out += core::KernelPolicyToString(kernel);
-  }
   return out;
 }
 
@@ -145,38 +125,6 @@ std::vector<DifferentialConfig> AllConfigurations() {
     out.push_back(c);
   }
 
-  // Every explicit counting kernel must reproduce the exact result no
-  // matter which knobs steer the scan: with the stop rule (early exits mid
-  // scan) and with MBB residuals plus exhaustive scans. NL classifies every
-  // pair; safe-mode IN is the served configuration (GROUP BY … SKYLINE OF),
-  // whose probe exit and window queries reorder the kernel's work.
-  // kSweep2D silently tiles on non-2D data, which is itself part of the
-  // contract.
-  for (core::KernelPolicy kernel :
-       {core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
-        core::KernelPolicy::kSorted, core::KernelPolicy::kSweep2D}) {
-    for (core::Algorithm algorithm :
-         {core::Algorithm::kNestedLoop, core::Algorithm::kIndexed}) {
-      for (auto [mbb, stop] : {std::pair<bool, bool>{false, true},
-                               std::pair<bool, bool>{true, false}}) {
-        DifferentialConfig c;
-        c.algorithm = algorithm;
-        c.prune_strongly_dominated = algorithm != core::Algorithm::kIndexed;
-        c.kernel = kernel;
-        c.use_mbb = mbb;
-        c.use_stop_rule = stop;
-        out.push_back(c);
-      }
-    }
-  }
-  // One pruned-algorithm cross-check: the sorted kernel under the sorted
-  // group access (both layers reorder work).
-  {
-    DifferentialConfig c;
-    c.algorithm = core::Algorithm::kSorted;
-    c.kernel = core::KernelPolicy::kSorted;
-    out.push_back(c);
-  }
   // kAuto exactly as GROUP BY … SKYLINE OF requests it. Pruning is left at
   // its default (on): kAuto must switch it off itself.
   {
@@ -197,7 +145,6 @@ core::AggregateSkylineResult RunConfiguration(
   options.use_stop_rule = config.use_stop_rule;
   options.prune_strongly_dominated = config.prune_strongly_dominated;
   options.ordering = config.ordering;
-  options.kernel = config.kernel;
   return core::ComputeAggregateSkyline(dataset, options);
 }
 
@@ -476,10 +423,6 @@ std::string ReproducerToCpp(const Reproducer& repro) {
     out += "  config.ordering = " +
            std::string(GroupOrderingEnumLiteral(repro.config.ordering)) +
            ";\n";
-  }
-  if (repro.config.kernel != core::KernelPolicy::kAuto) {
-    out += "  config.kernel = " +
-           std::string(KernelPolicyEnumLiteral(repro.config.kernel)) + ";\n";
   }
   out += "  const double gamma = " + FormatCoord(repro.gamma) + ";\n";
   out += "  testing::OracleResult oracle =\n";

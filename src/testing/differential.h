@@ -18,9 +18,6 @@ struct DifferentialConfig {
   bool use_stop_rule = true;
   bool prune_strongly_dominated = true;
   core::GroupOrdering ordering = core::GroupOrdering::kCornerDistance;
-  /// Counting kernel for every pairwise residual scan; every policy must
-  /// yield identical results (core/count_kernel.h).
-  core::KernelPolicy kernel = core::KernelPolicy::kAuto;
 
   /// True when the configuration must reproduce the oracle's dominated and
   /// strongly_dominated vectors exactly: BF/NL (which classify every
@@ -36,10 +33,8 @@ struct DifferentialConfig {
 
 /// The full differential matrix: every sequential algorithm crossed with
 /// {use_mbb} × {use_stop_rule} × {prune_strongly_dominated}, alternative
-/// group orderings for the order-sensitive algorithms, and every explicit
-/// counting kernel (against the kAuto default used everywhere else) under
-/// NL and under safe-mode IN, and Algorithm::kAuto as GROUP BY … SKYLINE
-/// OF requests it.
+/// group orderings for the order-sensitive algorithms, and
+/// Algorithm::kAuto as GROUP BY … SKYLINE OF requests it.
 std::vector<DifferentialConfig> AllConfigurations();
 
 /// Runs one configuration on the dataset.

@@ -18,7 +18,6 @@ core::AggregateSkylineOptions BoundedOptions(const DifferentialConfig& config,
   options.use_stop_rule = config.use_stop_rule;
   options.prune_strongly_dominated = config.prune_strongly_dominated;
   options.ordering = config.ordering;
-  options.kernel = config.kernel;
   return options;
 }
 

@@ -1,7 +1,10 @@
 #include "core/aggregate_skyline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +46,17 @@ struct WorkloadParam {
   double gamma;
   uint64_t seed;
 };
+
+std::string ParamName(const WorkloadParam& p) {
+  return std::string(datagen::DistributionToString(p.distribution)) + "_d" +
+         std::to_string(p.dims) + "_g" +
+         std::to_string(std::lround(p.gamma * 100)) + "_s" +
+         std::to_string(p.seed);
+}
+
+// Prints the parameter by its fields, not its bytes (which include
+// struct padding), so test names are the same in every build.
+void PrintTo(const WorkloadParam& p, std::ostream* os) { *os << ParamName(p); }
 
 class AlgorithmAgreementTest : public ::testing::TestWithParam<WorkloadParam> {
  protected:
@@ -178,7 +192,10 @@ INSTANTIATE_TEST_SUITE_P(
         WorkloadParam{datagen::Distribution::kAntiCorrelated, 500, 5, 3, 0.3,
                       0.5, 8},
         WorkloadParam{datagen::Distribution::kIndependent, 300, 100, 4, 0.2,
-                      0.5, 9}));
+                      0.5, 9}),
+    [](const ::testing::TestParamInfo<WorkloadParam>& param_info) {
+      return ParamName(param_info.param);
+    });
 
 TEST(AlgorithmsTest, SingleGroupIsAlwaysInSkyline) {
   GroupedDataset ds = GroupedDataset::FromPoints({{{1, 1}, {2, 2}}});

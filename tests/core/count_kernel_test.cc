@@ -1,23 +1,25 @@
 #include "core/count_kernel.h"
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/exec_context.h"
 #include "core/gamma.h"
 #include "core/group.h"
+#include "testing/oracle.h"
 #include "testing/property_gen.h"
 
 namespace galaxy::core {
 namespace {
 
-using testing::GenerateAdversarialPoints;
 using testing::PickAdversarialGamma;
-using testing::PointsToDataset;
-using testing::PropertyGenConfig;
 
 // Exhaustive reference over raw rows, independent of the kernels.
 kernel::KernelCounts NaiveCounts(const double* rows1, size_t n1,
@@ -104,25 +106,6 @@ TEST(OneWayKernelsTest, MatchComponentwiseGeCounts) {
   }
 }
 
-TEST(Sweep2DTest, MatchesNaiveCountsOnAdversarialGrids) {
-  Rng rng(777);
-  kernel::Sweep2DScratch scratch;
-  for (int round = 0; round < 30; ++round) {
-    const size_t n1 = static_cast<size_t>(rng.UniformInt(0, 120));
-    const size_t n2 = static_cast<size_t>(rng.UniformInt(0, 120));
-    // Coarse grids force many x/y ties and exact duplicates across sides.
-    const int levels = round % 2 == 0 ? 3 : 17;
-    std::vector<double> rows1 = RandomRows(rng, n1, 2, levels);
-    std::vector<double> rows2 = RandomRows(rng, n2, 2, levels);
-    kernel::KernelCounts expected =
-        NaiveCounts(rows1.data(), n1, rows2.data(), n2, 2);
-    kernel::KernelCounts got = kernel::CountPairsSweep2D(
-        rows1.data(), n1, rows2.data(), n2, &scratch);
-    ASSERT_EQ(got.n12, expected.n12) << "round " << round;
-    ASSERT_EQ(got.n21, expected.n21) << "round " << round;
-  }
-}
-
 TEST(SortedPrimitivesTest, OrderScoresAndCornersAreConsistent) {
   Rng rng(5);
   const size_t dims = 3;
@@ -167,85 +150,111 @@ TEST(SortedPrimitivesTest, OrderScoresAndCornersAreConsistent) {
   }
 }
 
-// Every kernel policy must yield the bit-identical PairOutcome of the
-// scalar reference, across the adversarial generator (empty groups,
-// duplicates, all-equal records, boundary γ) and every knob combination.
-TEST(ClassifyPairKernelTest, AllPoliciesAgreeOnAdversarialDatasets) {
-  Rng rng(20260806);
-  const KernelPolicy kPolicies[] = {
-      KernelPolicy::kAuto, KernelPolicy::kTiled, KernelPolicy::kSorted,
-      KernelPolicy::kSweep2D};
-  for (int round = 0; round < 60; ++round) {
-    core::GroupedDataset ds =
-        PointsToDataset(GenerateAdversarialPoints(rng));
-    const double gamma = PickAdversarialGamma(rng);
-    GammaThresholds thresholds = GammaThresholds::FromGamma(gamma);
-    for (size_t a = 0; a < ds.num_groups(); ++a) {
-      for (size_t b = 0; b < ds.num_groups(); ++b) {
-        if (a == b) continue;
-        for (bool stop : {false, true}) {
-          for (bool mbb : {false, true}) {
-            PairCompareOptions ref_options;
-            ref_options.use_stop_rule = stop;
-            ref_options.use_mbb = mbb;
-            ref_options.kernel = KernelPolicy::kScalar;
-            PairOutcome expected = ClassifyPair(ds.group(a), ds.group(b),
-                                                thresholds, ref_options);
-            for (KernelPolicy policy : kPolicies) {
-              PairCompareOptions options = ref_options;
-              options.kernel = policy;
-              PairCompareStats stats;
-              PairOutcome got = ClassifyPair(ds.group(a), ds.group(b),
-                                             thresholds, options, &stats);
-              EXPECT_EQ(got, expected)
-                  << "round=" << round << " pair=(" << a << "," << b
-                  << ") stop=" << stop << " mbb=" << mbb
-                  << " kernel=" << KernelPolicyToString(policy)
-                  << " gamma=" << gamma;
-              EXPECT_FALSE(stats.aborted);
-            }
+// Whichever kernel ClassifyPair picks, its outcome must be the
+// Definition-3 oracle's. One instance per d = 2..8, on both sides of the
+// d <= kTiledMaxDims rule: groups of 8 (below kSortedMinPairs) and 40
+// records, grid-aligned values (ties and duplicates), shifted groups so
+// every outcome occurs, boundary gammas, and every knob that steers the
+// scan.
+class ClassifyPairKernelRuleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ClassifyPairKernelRuleTest, MatchesOracle) {
+  const size_t dims = GetParam();
+  Rng rng(20260806 + dims);
+  std::set<KernelPolicy> kernels_used;
+  for (size_t n : {8u, 40u}) {
+    for (double shift : {0.0, 0.3, -0.3, 0.6, -0.6, 1.0, -1.0}) {
+      std::vector<double> rows2 = RandomRows(rng, n, dims, 5);
+      for (double& v : rows2) v += shift;
+      Group g1(0, "a", RandomRows(rng, n, dims, 5), dims);
+      Group g2(1, "b", std::move(rows2), dims);
+      const double gamma = PickAdversarialGamma(rng);
+      GammaThresholds thresholds = GammaThresholds::FromGamma(gamma);
+      const PairOutcome expected =
+          testing::OracleClassifyPair(g1, g2, thresholds);
+      for (bool stop : {false, true}) {
+        for (bool mbb : {false, true}) {
+          for (bool charged : {false, true}) {
+            ExecutionContext exec;
+            PairCompareOptions options;
+            options.use_stop_rule = stop;
+            options.use_mbb = mbb;
+            options.exec = charged ? &exec : nullptr;
+            PairCompareStats stats;
+            PairOutcome got =
+                ClassifyPair(g1, g2, thresholds, options, &stats);
+            EXPECT_EQ(got, expected)
+                << "n=" << n << " shift=" << shift << " stop=" << stop
+                << " mbb=" << mbb << " charged=" << charged
+                << " gamma=" << gamma
+                << " kernel=" << KernelPolicyToString(stats.kernel_used);
+            EXPECT_FALSE(stats.aborted);
+            kernels_used.insert(stats.kernel_used);
           }
         }
       }
     }
   }
+  // Both kernels are exercised above kTiledMaxDims; only the tiles below.
+  if (dims <= kernel::kTiledMaxDims) {
+    EXPECT_EQ(kernels_used, std::set<KernelPolicy>{KernelPolicy::kTiled});
+  } else {
+    EXPECT_EQ(kernels_used, (std::set<KernelPolicy>{KernelPolicy::kTiled,
+                                                    KernelPolicy::kSorted}));
+  }
 }
 
-// Large 2D groups push kAuto over kSweepMinPairs; the sweep must agree
-// with the scalar loop and report itself in the stats.
-TEST(ClassifyPairKernelTest, AutoPicksSweepOnLarge2D) {
+INSTANTIATE_TEST_SUITE_P(
+    Dims, ClassifyPairKernelRuleTest, ::testing::Range<size_t>(2, 9),
+    [](const ::testing::TestParamInfo<size_t>& param_info) {
+      return "d" + std::to_string(param_info.param);
+    });
+
+// Pins the kernel rule on 40 x 40 records (1600 residual pairs, above
+// kSortedMinPairs): the tiles run at d = 4, the sorted kernel at d = 6,
+// and a charged scan tiles at any d.
+TEST(ClassifyPairKernelTest, KernelRuleSplitsAtFourDimensions) {
   Rng rng(31);
-  const size_t n = 300;  // 300 * 300 pairs > kSweepMinPairs
-  std::vector<Point> pts1, pts2;
-  for (size_t i = 0; i < n; ++i) {
-    pts1.push_back({rng.NextDouble(), rng.NextDouble()});
-    pts2.push_back({rng.NextDouble(), rng.NextDouble()});
-  }
-  core::GroupedDataset ds = core::GroupedDataset::FromPoints({pts1, pts2});
   GammaThresholds thresholds = GammaThresholds::FromGamma(0.75);
-
-  PairCompareOptions scalar;
-  scalar.kernel = KernelPolicy::kScalar;
-  PairOutcome expected =
-      ClassifyPair(ds.group(0), ds.group(1), thresholds, scalar);
-
-  PairCompareOptions auto_options;  // kAuto, stop rule on, no exec
-  PairCompareStats stats;
-  PairOutcome got =
-      ClassifyPair(ds.group(0), ds.group(1), thresholds, auto_options, &stats);
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(stats.kernel_used, KernelPolicy::kSweep2D);
-
-  // An explicit sweep request on charged scans must demote to tiled.
+  auto kernel_for = [&](size_t dims, ExecutionContext* exec) {
+    Group g1(0, "a", RandomRows(rng, 40, dims, 1000), dims);
+    Group g2(1, "b", RandomRows(rng, 40, dims, 1000), dims);
+    PairCompareOptions options;
+    options.exec = exec;
+    PairCompareStats stats;
+    EXPECT_EQ(ClassifyPair(g1, g2, thresholds, options, &stats),
+              testing::OracleClassifyPair(g1, g2, thresholds))
+        << "dims=" << dims;
+    return stats.kernel_used;
+  };
+  EXPECT_EQ(kernel_for(4, nullptr), KernelPolicy::kTiled);
+  EXPECT_EQ(kernel_for(6, nullptr), KernelPolicy::kSorted);
   ExecutionContext exec;
-  PairCompareOptions bounded;
-  bounded.kernel = KernelPolicy::kSweep2D;
-  bounded.exec = &exec;
-  PairCompareStats bounded_stats;
-  PairOutcome bounded_got = ClassifyPair(ds.group(0), ds.group(1), thresholds,
-                                         bounded, &bounded_stats);
-  EXPECT_EQ(bounded_got, expected);
-  EXPECT_EQ(bounded_stats.kernel_used, KernelPolicy::kTiled);
+  EXPECT_EQ(kernel_for(6, &exec), KernelPolicy::kTiled);
+}
+
+// The rule's other two tiling branches at d = 6, where uncharged
+// stop-rule scans otherwise run sorted: the stop rule off, and a residual
+// one pair short of kSortedMinPairs (15 x 17 = 255 against 16 x 16 = 256).
+TEST(ClassifyPairKernelTest, KernelRuleTilesWithoutStopRuleOrBelowMinPairs) {
+  static_assert(kernel::kSortedMinPairs == 256);
+  Rng rng(32);
+  const size_t dims = 6;
+  GammaThresholds thresholds = GammaThresholds::FromGamma(0.75);
+  auto kernel_for = [&](size_t n1, size_t n2, bool stop) {
+    Group g1(0, "a", RandomRows(rng, n1, dims, 1000), dims);
+    Group g2(1, "b", RandomRows(rng, n2, dims, 1000), dims);
+    PairCompareOptions options;
+    options.use_stop_rule = stop;
+    PairCompareStats stats;
+    EXPECT_EQ(ClassifyPair(g1, g2, thresholds, options, &stats),
+              testing::OracleClassifyPair(g1, g2, thresholds))
+        << "n1=" << n1 << " n2=" << n2 << " stop=" << stop;
+    return stats.kernel_used;
+  };
+  EXPECT_EQ(kernel_for(40, 40, false), KernelPolicy::kTiled);
+  EXPECT_EQ(kernel_for(15, 17, true), KernelPolicy::kTiled);
+  EXPECT_EQ(kernel_for(16, 16, true), KernelPolicy::kSorted);
 }
 
 TEST(ClassifyPairKernelTest, MbbStatsReportPreclassifiedRecords) {

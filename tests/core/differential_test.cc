@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,34 +19,30 @@
 namespace galaxy::testing {
 namespace {
 
-TEST(DifferentialMatrixTest, CoversAllAlgorithmsAndServedConfigPerKernel) {
+TEST(DifferentialMatrixTest, CoversAllAlgorithmsAndServedConfig) {
   std::vector<DifferentialConfig> configs = AllConfigurations();
   bool safe_mode = false;
   std::set<core::Algorithm> algorithms;
-  // Explicit kernels that run under safe-mode IN, the configuration
-  // GROUP BY … SKYLINE OF serves.
-  std::set<core::KernelPolicy> served_kernels;
+  // Safe-mode IN, the configuration GROUP BY … SKYLINE OF serves, under
+  // every {use_mbb} × {use_stop_rule} combination.
+  std::set<std::pair<bool, bool>> served_knobs;
   // kAuto as the executor requests it: pruning left at its default.
   bool served_request = false;
   for (const DifferentialConfig& c : configs) {
     algorithms.insert(c.algorithm);
     if (!c.prune_strongly_dominated) safe_mode = true;
-    if (c.algorithm == core::Algorithm::kAuto && c.prune_strongly_dominated &&
-        c.kernel == core::KernelPolicy::kAuto) {
+    if (c.algorithm == core::Algorithm::kAuto && c.prune_strongly_dominated) {
       served_request = true;
     }
     if (c.algorithm == core::Algorithm::kIndexed &&
-        !c.prune_strongly_dominated && c.kernel != core::KernelPolicy::kAuto) {
-      served_kernels.insert(c.kernel);
+        !c.prune_strongly_dominated) {
+      served_knobs.insert({c.use_mbb, c.use_stop_rule});
     }
   }
   EXPECT_TRUE(safe_mode);
   EXPECT_TRUE(served_request);
   EXPECT_EQ(algorithms.size(), 7u);  // BF, NL, TR, SI, IN, LO, AUTO
-  EXPECT_EQ(served_kernels,
-            (std::set<core::KernelPolicy>{
-                core::KernelPolicy::kScalar, core::KernelPolicy::kTiled,
-                core::KernelPolicy::kSorted, core::KernelPolicy::kSweep2D}));
+  EXPECT_EQ(served_knobs.size(), 4u);
   EXPECT_GE(configs.size(), 40u);
 }
 

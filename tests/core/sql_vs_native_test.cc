@@ -2,7 +2,10 @@
 // executed by the from-scratch SQL engine) and the native operator.
 
 #include <algorithm>
+#include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -51,6 +54,17 @@ struct SqlParam {
   uint64_t seed;
 };
 
+std::string ParamName(const SqlParam& p) {
+  return std::string(datagen::DistributionToString(p.distribution)) + "_d" +
+         std::to_string(p.dims) + "_g" +
+         std::to_string(std::lround(p.gamma * 100)) + "_s" +
+         std::to_string(p.seed);
+}
+
+// Prints the parameter by its fields, not its bytes (which include
+// struct padding), so test names are the same in every build.
+void PrintTo(const SqlParam& p, std::ostream* os) { *os << ParamName(p); }
+
 class SqlVsNativeTest : public ::testing::TestWithParam<SqlParam> {};
 
 TEST_P(SqlVsNativeTest, SameSkyline) {
@@ -77,7 +91,10 @@ INSTANTIATE_TEST_SUITE_P(
         SqlParam{150, 15, 3, 0.5, datagen::Distribution::kAntiCorrelated, 4},
         SqlParam{150, 15, 3, 0.7, datagen::Distribution::kAntiCorrelated, 5},
         SqlParam{100, 5, 2, 0.9, datagen::Distribution::kIndependent, 6},
-        SqlParam{200, 50, 4, 0.5, datagen::Distribution::kIndependent, 7}));
+        SqlParam{200, 50, 4, 0.5, datagen::Distribution::kIndependent, 7}),
+    [](const ::testing::TestParamInfo<SqlParam>& param_info) {
+      return ParamName(param_info.param);
+    });
 
 TEST(SqlVsNativeTest, MovieDirectorsThroughAlgorithm1) {
   // Run the Algorithm 1 query on the movie table (rebuilt into the

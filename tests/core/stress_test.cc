@@ -3,7 +3,10 @@
 // overlap regimes. Complements algorithms_test.cc with broader, noisier
 // coverage.
 
+#include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +38,20 @@ struct StressParam {
   double spread;
   bool zipf;
 };
+
+std::string ParamName(const StressParam& p) {
+  return "g" + std::to_string(std::lround(p.gamma * 100)) + "_spread" +
+         std::to_string(std::lround(p.spread * 100)) +
+         (p.zipf ? "_zipf" : "_uniform") + "_s" + std::to_string(p.seed);
+}
+
+// Prints the parameter by its fields, not its bytes (which include
+// struct padding), so test names are the same in every build.
+void PrintTo(const StressParam& p, std::ostream* os) { *os << ParamName(p); }
+
+std::string StressName(const ::testing::TestParamInfo<StressParam>& info) {
+  return ParamName(info.param);
+}
 
 class StressTest : public ::testing::TestWithParam<StressParam> {};
 
@@ -100,7 +117,7 @@ std::vector<StressParam> MakeStressGrid() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, StressTest,
-                         ::testing::ValuesIn(MakeStressGrid()));
+                         ::testing::ValuesIn(MakeStressGrid()), StressName);
 
 // The safe mode must be exact on every grid point, for every pruned
 // algorithm.
@@ -131,7 +148,7 @@ TEST_P(SafeModeStressTest, SafeModeIsExactEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SafeModeStressTest,
-                         ::testing::ValuesIn(MakeStressGrid()));
+                         ::testing::ValuesIn(MakeStressGrid()), StressName);
 
 }  // namespace
 }  // namespace galaxy::core

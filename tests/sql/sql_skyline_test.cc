@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -165,6 +167,17 @@ struct OracleCase {
   bool mixed_prefs;  // odd attributes MIN instead of all MAX
 };
 
+std::string CaseName(const OracleCase& c) {
+  return std::string(datagen::DistributionToString(c.distribution)) + "_d" +
+         std::to_string(c.dims) + "_g" +
+         std::to_string(std::lround(c.gamma * 100)) +
+         (c.mixed_prefs ? "_mixed" : "_max");
+}
+
+// Prints the case by its fields, not its bytes (which include struct
+// padding), so test names are the same in every build.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class SqlSkylineOracleTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(SqlSkylineOracleTest, ServedOperatorMatchesOracle) {
@@ -259,8 +272,11 @@ std::vector<OracleCase> OracleCases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(SeededTables, SqlSkylineOracleTest,
-                         ::testing::ValuesIn(OracleCases()));
+INSTANTIATE_TEST_SUITE_P(
+    SeededTables, SqlSkylineOracleTest, ::testing::ValuesIn(OracleCases()),
+    [](const ::testing::TestParamInfo<OracleCase>& param_info) {
+      return CaseName(param_info.param);
+    });
 
 }  // namespace
 }  // namespace galaxy::sql
