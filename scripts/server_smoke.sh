@@ -2,14 +2,15 @@
 # End-to-end smoke test for the serving layer.
 #
 # Starts galaxy_served (event-driven engine) on the bundled movie dataset,
-# drives a short closed-loop burst with galaxy_bench_client (repeated
-# skyline queries plus periodic /update inserts), scrapes /metrics, and
-# asserts:
+# drives it with galaxy_bench_client twice (a 400-request budget of
+# repeated skyline queries with periodic /update inserts, then 200
+# connections for one second), scrapes /metrics, and asserts:
 #   - the bench client saw zero transport errors and zero 5xx responses,
 #   - the result cache produced hits (galaxy_cache_hits_total > 0),
 #   - the server shuts down cleanly on SIGTERM.
 #
-# Usage: scripts/server_smoke.sh [build_dir]   (run from the repo root)
+# Usage: scripts/server_smoke.sh [build_dir]   (run from the repo root;
+# the server_smoke ctest runs it that way)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -80,21 +81,11 @@ EOF
   exit 1
 }
 
-# Closed-loop burst: 4 connections x 100 requests of the same skyline
-# query (exercising the result cache), with an insert every 50th request
-# routed through /update (exercising incremental view maintenance and
-# cache invalidation). The schema is Title,Year,Director,Pop,Qual with
-# integer Pop/Qual.
-"$CLIENT" --port "$PORT" --connections 4 --requests 400 \
-  --sql "SELECT Director FROM movies GROUP BY Director SKYLINE OF Pop MAX, Qual MAX GAMMA 0.6" \
-  --update-every 50 --update-table movies \
-  --update-body "Smoke Movie,2024,Smoke,9,8" \
-  --seed 42 --out "$REPORT"
+SQL="SELECT Director FROM movies GROUP BY Director SKYLINE OF Pop MAX, Qual MAX GAMMA 0.6"
 
-# Exercise the JSON branch of the CSV converter on the real report.
-python3 scripts/bench_to_csv.py "$REPORT" >/dev/null
-
-python3 - "$REPORT" <<'EOF'
+# check_report <report.json> <minimum requests>
+check_report() {
+  python3 - "$1" "$2" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 errors = []
@@ -103,14 +94,35 @@ if report["transport_errors"] != 0:
 fives = {c: n for c, n in report["status"].items() if c.startswith("5")}
 if fives:
     errors.append(f"5xx responses: {fives}")
-if report["requests"] < 400:
+if report["requests"] < int(sys.argv[2]):
     errors.append(f"only {report['requests']} requests completed")
 if errors:
     sys.exit("server_smoke: bench report failed checks: " + "; ".join(errors))
-print(f"server_smoke: {report['requests']} requests, "
+print(f"server_smoke: {report['connections']} connections, "
+      f"{report['requests']} requests, "
       f"qps={report['qps']:.0f}, p99={report['latency_ms']['p99']:.2f}ms, "
       f"cache_hits={report['cache_hits']}, status={report['status']}")
 EOF
+}
+
+# Request budget: 4 connections share 400 requests of the same skyline
+# query (exercising the result cache); every 50th request on a connection
+# is an insert routed through /update (exercising incremental view
+# maintenance and cache invalidation). The schema is
+# Title,Year,Director,Pop,Qual with integer Pop/Qual.
+"$CLIENT" --port "$PORT" --connections 4 --requests 400 --sql "$SQL" \
+  --update-every 50 --update-table movies \
+  --update-body "Smoke Movie,2024,Smoke,9,8" \
+  --seed 42 --out "$REPORT"
+
+# Exercise the JSON branch of the CSV converter on the real report.
+python3 scripts/bench_to_csv.py "$REPORT" >/dev/null
+check_report "$REPORT" 400
+
+# Duration mode with many sockets: 200 connections for one second.
+"$CLIENT" --port "$PORT" --connections 200 --duration-s 1 --sql "$SQL" \
+  --out "$REPORT"
+check_report "$REPORT" 200
 
 METRICS="$(http_get "http://127.0.0.1:$PORT/metrics")"
 CACHE_HITS="$(printf '%s\n' "$METRICS" \
@@ -121,9 +133,9 @@ if [[ -z "$CACHE_HITS" || "$CACHE_HITS" -eq 0 ]]; then
   exit 1
 fi
 if printf '%s\n' "$METRICS" \
-  | grep -E '^galaxy_responses_total\{code="5[0-9]{2}"\} [1-9]' >/dev/null; then
+  | grep -E '^galaxy_http_responses_total\{code="5[0-9]{2}"\} [1-9]' >/dev/null; then
   echo "server_smoke: server-side 5xx counters are nonzero" >&2
-  printf '%s\n' "$METRICS" | grep '^galaxy_responses_total' >&2
+  printf '%s\n' "$METRICS" | grep '^galaxy_http_responses_total' >&2
   exit 1
 fi
 echo "server_smoke: metrics ok (galaxy_cache_hits_total=$CACHE_HITS)"

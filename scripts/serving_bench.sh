@@ -2,7 +2,7 @@
 # Connection-scaling benchmark for the serving layer.
 #
 # Boots galaxy_served (event-driven engine) on the bundled movie dataset,
-# drives an open-loop galaxy_bench_client run at each connection count, and
+# drives a timed galaxy_bench_client run at each connection count, and
 # merges the per-run reports into BENCH_serving.json (schema
 # galaxy-serving-bench-v2):
 #
@@ -22,7 +22,7 @@ SQL="SELECT Director FROM movies GROUP BY Director SKYLINE OF Pop MAX, Qual MAX 
 OUT="BENCH_serving.json"
 
 # Each point runs TRIALS times and the merge keeps the best-throughput
-# trial: open-loop qps on a shared machine is noisy (scheduler, cache),
+# trial: qps on a shared machine is noisy (scheduler, cache),
 # and gated floors would otherwise flap.
 case "$PROFILE" in
   quick) CONNS=(100 1000); DURATION=5; TRIALS=2 ;;
@@ -49,15 +49,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Sets SERVER_PID and PORT. Not run in a $(...) subshell, which would keep
+# SERVER_PID from stop_server and leave the server running.
 start_server() {
   local log="$WORK_DIR/served.log"
   "$SERVED" --csv "$CSV" --table movies --port 0 \
     --view "movies:Director:Pop,Qual:0.6" >"$log" 2>&1 &
   SERVER_PID=$!
-  local port=""
+  PORT=""
   for _ in $(seq 1 100); do
-    port="$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\).*/\1/p' "$log")"
-    [[ -n "$port" ]] && break
+    PORT="$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\).*/\1/p' "$log")"
+    [[ -n "$PORT" ]] && break
     if ! kill -0 "$SERVER_PID" 2>/dev/null; then
       echo "serving_bench: galaxy_served exited during startup:" >&2
       cat "$log" >&2
@@ -65,8 +67,7 @@ start_server() {
     fi
     sleep 0.1
   done
-  [[ -n "$port" ]] || { echo "serving_bench: no port from server" >&2; return 1; }
-  echo "$port"
+  [[ -n "$PORT" ]] || { echo "serving_bench: no port from server" >&2; return 1; }
 }
 
 stop_server() {
@@ -75,13 +76,13 @@ stop_server() {
   SERVER_PID=""
 }
 
-PORT="$(start_server)" || exit 1
+start_server || exit 1
 echo "serving_bench: server up on port $PORT" >&2
 for conns in "${CONNS[@]}"; do
   for trial in $(seq 1 "$TRIALS"); do
     report="$WORK_DIR/event_c${conns}_t${trial}.json"
     echo "serving_bench: $conns connections, ${DURATION}s (trial $trial/$TRIALS) ..." >&2
-    if ! "$CLIENT" --port "$PORT" --open-loop --connections "$conns" \
+    if ! "$CLIENT" --port "$PORT" --connections "$conns" \
         --duration-s "$DURATION" --sql "$SQL" --out "$report"; then
       # Report written with transport errors, or the run collapsed
       # entirely: keep going, the merge step records the failure.

@@ -73,6 +73,10 @@ std::vector<std::string> AggregateSkylineResult::Labels(
 
 namespace {
 
+// Record-comparison budget of the degradation pass, the anytime salvage
+// run after an interruption (see DegradeToAnytime).
+constexpr uint64_t kDegradeComparisonBudget = 1 << 20;
+
 // Resolves kAuto to the configuration GROUP BY … SKYLINE OF serves:
 // safe-mode IN. The R-tree limits each group to the groups that could
 // γ-dominate it, and without candidate skipping the answer stays exact
@@ -142,7 +146,7 @@ AggregateSkylineResult DegradeToAnytime(
   // promptly even when the deadline already expired.
   AnytimeAggregateSkyline engine(dataset, anytime_options);
   AnytimeAggregateSkyline::Snapshot snapshot =
-      engine.Advance(options.degrade_comparison_budget);
+      engine.Advance(kDegradeComparisonBudget);
 
   const uint32_t n = static_cast<uint32_t>(dataset.num_groups());
   std::vector<uint8_t> anytime_dominated(n, 1);

@@ -92,12 +92,6 @@ struct AggregateSkylineOptions {
   /// (memory-budget trips always error — degradation could not respect
   /// them either). Ignored when exec is null.
   bool allow_approximate = false;
-
-  /// Record-comparison budget of the degradation pass (the anytime salvage
-  /// run after an interruption). Deterministic and independent of the
-  /// tripped context, so a degraded answer returns promptly even when the
-  /// deadline has already expired.
-  uint64_t degrade_comparison_budget = 1 << 20;
 };
 
 /// Work counters accumulated over one aggregate-skyline computation.

@@ -2,24 +2,32 @@
 # End-to-end checks of galaxy_cli error handling: unknown flags, malformed
 # numbers, out-of-range gamma, and missing input files must produce a
 # one-line diagnostic on stderr and a non-zero exit; bounded runs must
-# report their result quality. Invoked by ctest as:
+# report their result quality. galaxy_crashtest, galaxy_bench_client and
+# galaxy_fuzz share galaxy_cli's flag parser and are checked for the same
+# usage errors. Invoked by ctest as:
 #
-#   cli_errors_test.sh /path/to/galaxy_cli
+#   cli_errors_test.sh /path/to/galaxy_cli /path/to/galaxy_crashtest \
+#       /path/to/galaxy_bench_client /path/to/galaxy_fuzz
 
 set -u
 
-CLI="${1:?usage: cli_errors_test.sh /path/to/galaxy_cli}"
+USAGE="usage: cli_errors_test.sh galaxy_cli galaxy_crashtest galaxy_bench_client galaxy_fuzz"
+CLI="${1:?$USAGE}"
+CRASHTEST="${2:?$USAGE}"
+BENCH_CLIENT="${3:?$USAGE}"
+FUZZ="${4:?$USAGE}"
 TMPDIR_LOCAL="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_LOCAL"' EXIT
 
 failures=0
 
-# expect_fail <expected-exit> <stderr-substring> <args...>
+# expect_fail <expected-exit> <stderr-substring> <args...>, run by $TOOL.
+TOOL="$CLI"
 expect_fail() {
   local want_exit="$1"; shift
   local want_substr="$1"; shift
   local stderr_file="$TMPDIR_LOCAL/stderr"
-  "$CLI" "$@" >/dev/null 2>"$stderr_file"
+  "$TOOL" "$@" >/dev/null 2>"$stderr_file"
   local got_exit=$?
   local stderr_text
   stderr_text="$(cat "$stderr_file")"
@@ -98,6 +106,31 @@ if [[ $? -ne 0 || "$out" != *"# quality: approximate-superset"* ]]; then
   echo "FAIL: degraded run did not report approximate-superset" >&2
   failures=$((failures + 1))
 fi
+
+# The other tools: the same parser, the same exit-2 usage errors.
+TOOL="$CRASHTEST"
+expect_fail 2 "unknown flag: --cycle" --cycle 5
+expect_fail 2 "--seed expects an integer, got: abc" --seed abc
+expect_fail 2 "--cycles must be positive" --cycles 0
+out="$("$CRASHTEST" --verbose --cycles 1 2>&1)"
+if [[ $? -ne 0 || "$out" != *"1 cycles OK"* ]]; then
+  echo "FAIL: galaxy_crashtest --verbose --cycles 1: $out" >&2
+  failures=$((failures + 1))
+fi
+
+TOOL="$BENCH_CLIENT"
+expect_fail 2 "--port is required" --connections 2
+expect_fail 2 "unknown flag: --open-loop" --port 8080 --open-loop
+expect_fail 2 "unknown flag: --qps" --port 8080 --qps 100
+expect_fail 2 "unknown flag: --ramp-batch" --port 8080 --ramp-batch 64
+expect_fail 2 "--port expects an integer" --port 80x
+expect_fail 2 "--deadline-dist must be fixed|exp" --port 8080 \
+  --deadline-dist uniform
+
+TOOL="$FUZZ"
+expect_fail 2 "--seed expects an integer, got: abc" --seed abc
+expect_fail 2 "unknown flag: --run" --run 5
+expect_fail 2 "unknown --target: nope" --target=nope
 
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures failure(s)" >&2

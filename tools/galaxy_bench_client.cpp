@@ -2,36 +2,34 @@
 //
 //   galaxy_bench_client --port 8080 [--host 127.0.0.1]
 //                       [--sql "SELECT ..."] [--connections 4]
-//                       [--requests 1000 | --duration-s 10] [--qps 0]
+//                       [--requests 1000 | --duration-s 10]
 //                       [--deadline-ms 0] [--deadline-dist fixed|exp]
 //                       [--update-every 0] [--update-table T]
 //                       [--update-body "csv,row"] [--accept json|csv]
-//                       [--open-loop] [--ramp-batch 512]
 //                       [--seed 1] [--out results.json]
 //
-// Reviewed: a load generator lives on raw sockets by definition — the
-// closed-loop workers block on purpose (one request outstanding each) and
-// the open-loop engine runs every socket non-blocking under poll(2).
+// Reviewed: a load generator lives on raw sockets by definition. Every
+// socket here is non-blocking and driven by one poll(2) loop, so no call
+// waits on the network.
 // galaxy-lint: allow-file(blocking-socket-io)
 //
-// Default (closed-loop) mode: each connection gets a thread running send
-// POST /query, wait for the full response, record the latency, repeat —
-// optionally paced to --qps (split evenly across connections) and
-// optionally interleaving a POST /update every --update-every requests
-// (which exercises cache invalidation on the server). --deadline-ms
-// attaches X-Galaxy-Timeout-Ms to each request; with --deadline-dist exp
-// the per-request deadline is drawn from an exponential distribution with
-// that mean, which produces a mix of exact (200) and degraded (206)
-// answers.
+// One thread holds --connections sockets (10k+ works; the process raises
+// its own fd limit). Each connection is closed-loop: it sends a request,
+// waits for the whole response, records the latency from first request
+// byte to last response byte, and sends the next request at once. A
+// connection the server closes reconnects. Connects start at most
+// kRampBatch at a time, so the SYN burst of a large ramp stays inside the
+// server's listen backlog.
 //
-// --open-loop holds --connections (10k+ works) concurrent sockets from a
-// SINGLE thread: non-blocking connects ramped --ramp-batch at a time (so
-// the SYN burst never overruns the server's listen backlog), a poll(2)
-// readiness loop, and a per-connection send/read state machine issuing
-// back-to-back requests. This is the C10K harness for `galaxy_served`'s
-// event engine; thread-per-connection clients cannot reach these
-// counts. Open-loop requires --duration-s and ignores
-// --qps/--update-every/--requests.
+// The run ends once --requests requests were issued and the ones in
+// flight have drained, or, with --duration-s, at that wall time. Each
+// connection makes every --update-every'th request a POST /update insert
+// of --update-body into --update-table (exercising cache invalidation on
+// the server); update latencies stay out of the latency histogram.
+// --deadline-ms attaches X-Galaxy-Timeout-Ms to each query; with
+// --deadline-dist exp each deadline is drawn from an exponential
+// distribution with that mean (one RNG seeded by --seed), which mixes
+// exact (200) and degraded (206) answers.
 //
 // The JSON report (stdout, or --out) contains per-status counts, latency
 // mean/p50/p90/p99 in milliseconds, and the full power-of-two latency
@@ -43,7 +41,6 @@
 // 1 on transport errors, 2 on usage errors.
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -52,301 +49,73 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <map>
 #include <random>
-#include <string_view>
-#include <set>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
-#include "common/status.h"
+#include "flags.h"
 
 namespace {
 
-using galaxy::Status;
+using Clock = std::chrono::steady_clock;
+using galaxy::tools::Flags;
 
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string name = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          values_[name] = argv[++i];
-        } else {
-          values_[name] = "true";
-        }
-      } else {
-        error_ = "unexpected argument: " + arg;
-        return;
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  bool CheckAllowed(std::initializer_list<const char*> allowed) {
-    std::set<std::string> names(allowed.begin(), allowed.end());
-    for (const auto& [name, value] : values_) {
-      if (names.count(name) == 0) {
-        error_ = "unknown flag: --" + name;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  galaxy::Result<int64_t> GetInt(const std::string& name,
-                                 int64_t fallback) const {
-    if (!Has(name)) return fallback;
-    const std::string& text = values_.at(name);
-    char* end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size() || text.empty()) {
-      return Status::InvalidArgument("--" + name +
-                                     " expects an integer, got: " + text);
-    }
-    return static_cast<int64_t>(v);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
+// At most this many connects are in flight at once, so a 10k-connection
+// ramp never overruns the server's listen backlog.
+constexpr size_t kRampBatch = 512;
 
 struct BenchConfig {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-  std::string sql = "SELECT * FROM data";
-  std::string accept = "application/json";
-  int connections = 4;
-  int64_t requests = 1000;   // total across connections; 0 = duration mode
-  int64_t duration_s = 0;    // 0 = request-count mode
-  double qps = 0;            // 0 = unthrottled
+  std::string sql;
+  std::string accept;
+  int connections = 0;
+  int64_t requests = 0;      // total request budget; 0 = duration mode
   int64_t deadline_ms = 0;   // 0 = no deadline header
   bool deadline_exp = false;
   int64_t update_every = 0;  // 0 = queries only
   std::string update_table;
   std::string update_body;
-  bool open_loop = false;
-  int64_t ramp_batch = 512;  // open-loop: concurrent connect attempts
-  uint64_t seed = 1;
+  uint64_t seed = 0;
 };
 
-struct WorkerResult {
+struct RunResult {
   std::map<int, uint64_t> status_counts;
-  std::vector<uint64_t> latencies_us;
+  std::vector<uint64_t> latencies_us;  // queries only
   uint64_t transport_errors = 0;
   uint64_t cache_hits = 0;
   uint64_t degraded = 0;
-  size_t peak_open = 0;  // open-loop only: connections open at run end
 };
 
-// Blocking connect to the bench target; -1 on failure.
-int Connect(const BenchConfig& config) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config.port);
-  if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
+std::string QueryRequest(const BenchConfig& config, int64_t deadline_ms) {
+  std::string request =
+      "POST /query HTTP/1.1\r\nHost: bench\r\nAccept: " + config.accept +
+      "\r\n";
+  if (deadline_ms > 0) {
+    request += "X-Galaxy-Timeout-Ms: " + std::to_string(deadline_ms) + "\r\n";
   }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  return request + "Content-Length: " + std::to_string(config.sql.size()) +
+         "\r\n\r\n" + config.sql;
 }
 
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Reads one HTTP response off `fd` using `buffer` as the connection's
-// carry-over. Returns the status code (0 on transport error) and whether
-// the X-Galaxy-Cache / degraded markers were present.
-int ReadResponse(int fd, std::string* buffer, bool* cache_hit,
-                 bool* degraded, bool* close_after) {
-  *cache_hit = false;
-  *degraded = false;
-  *close_after = false;
-  char chunk[8192];
-  while (true) {
-    size_t header_end = buffer->find("\r\n\r\n");
-    if (header_end != std::string::npos) {
-      std::string headers = buffer->substr(0, header_end + 4);
-      if (headers.size() < 12 || headers.compare(0, 5, "HTTP/") != 0) {
-        return 0;
-      }
-      int status = std::atoi(headers.c_str() + 9);
-      size_t content_length = 0;
-      // Case matters not: the server emits canonical header casing.
-      size_t cl = headers.find("Content-Length:");
-      if (cl == std::string::npos) cl = headers.find("content-length:");
-      if (cl != std::string::npos) {
-        content_length = static_cast<size_t>(
-            std::strtoull(headers.c_str() + cl + 15, nullptr, 10));
-      }
-      if (headers.find("X-Galaxy-Cache: hit") != std::string::npos) {
-        *cache_hit = true;
-      }
-      if (status == 206 ||
-          headers.find("approximate-superset") != std::string::npos) {
-        *degraded = true;
-      }
-      if (headers.find("Connection: close") != std::string::npos) {
-        *close_after = true;
-      }
-      size_t total = header_end + 4 + content_length;
-      while (buffer->size() < total) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) return 0;
-        buffer->append(chunk, static_cast<size_t>(n));
-      }
-      buffer->erase(0, total);
-      return status;
-    }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return 0;
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-void RunWorker(const BenchConfig& config, int worker_id,
-               std::atomic<int64_t>* remaining,
-               std::chrono::steady_clock::time_point stop_at,
-               WorkerResult* out) {
-  std::mt19937_64 rng(config.seed * 0x9e3779b97f4a7c15ULL +
-                      static_cast<uint64_t>(worker_id));
-  std::exponential_distribution<double> exp_dist(
-      config.deadline_ms > 0 ? 1.0 / static_cast<double>(config.deadline_ms)
-                             : 1.0);
-
-  double per_worker_qps =
-      config.qps > 0 ? config.qps / config.connections : 0;
-  auto next_send = std::chrono::steady_clock::now();
-
-  int fd = Connect(config);
-  std::string buffer;
-  uint64_t sent_count = 0;
-
-  while (true) {
-    if (config.requests > 0) {
-      if (remaining->fetch_sub(1) <= 0) break;
-    } else if (std::chrono::steady_clock::now() >= stop_at) {
-      break;
-    }
-
-    if (per_worker_qps > 0) {
-      std::this_thread::sleep_until(next_send);
-      next_send += std::chrono::microseconds(
-          static_cast<int64_t>(1e6 / per_worker_qps));
-    }
-
-    if (fd < 0) {
-      fd = Connect(config);
-      if (fd < 0) {
-        ++out->transport_errors;
-        continue;
-      }
-      buffer.clear();
-    }
-
-    bool is_update = config.update_every > 0 && !config.update_table.empty() &&
-                     sent_count > 0 &&
-                     sent_count % static_cast<uint64_t>(config.update_every) ==
-                         0;
-    ++sent_count;
-
-    std::string request;
-    if (is_update) {
-      request = "POST /update?table=" + config.update_table +
-                "&op=insert HTTP/1.1\r\nHost: bench\r\nContent-Length: " +
-                std::to_string(config.update_body.size()) + "\r\n\r\n" +
-                config.update_body;
-    } else {
-      request = "POST /query HTTP/1.1\r\nHost: bench\r\nAccept: " +
-                config.accept + "\r\n";
-      if (config.deadline_ms > 0) {
-        int64_t deadline = config.deadline_ms;
-        if (config.deadline_exp) {
-          deadline = std::max<int64_t>(
-              1, static_cast<int64_t>(exp_dist(rng)));
-        }
-        request += "X-Galaxy-Timeout-Ms: " + std::to_string(deadline) + "\r\n";
-      }
-      request += "Content-Length: " + std::to_string(config.sql.size()) +
-                 "\r\n\r\n" + config.sql;
-    }
-
-    auto start = std::chrono::steady_clock::now();
-    bool cache_hit = false, degraded = false, close_after = false;
-    int status = 0;
-    if (SendAll(fd, request)) {
-      status = ReadResponse(fd, &buffer, &cache_hit, &degraded, &close_after);
-    }
-    auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start);
-
-    if (status == 0) {
-      ++out->transport_errors;
-      ::close(fd);
-      fd = -1;
-      continue;
-    }
-    ++out->status_counts[status];
-    if (!is_update) {
-      out->latencies_us.push_back(
-          static_cast<uint64_t>(elapsed.count()));
-    }
-    if (cache_hit) ++out->cache_hits;
-    if (degraded) ++out->degraded;
-    if (close_after) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-  if (fd >= 0) ::close(fd);
-}
-
-// Non-blocking variant of ReadResponse's scan: if `buffer` starts with one
-// complete response, consumes it and returns true.
+// If `buffer` starts with one complete response, consumes it and returns
+// true; *status is 0 when the bytes are not an HTTP response at all.
 bool TryConsumeResponse(std::string* buffer, int* status, bool* cache_hit,
                         bool* degraded, bool* close_after) {
   size_t header_end = buffer->find("\r\n\r\n");
   if (header_end == std::string::npos) return false;
   std::string_view headers(buffer->data(), header_end + 4);
   if (headers.size() < 12 || headers.compare(0, 5, "HTTP/") != 0) {
-    *status = 0;  // Garbage on the wire; caller treats as transport error.
+    *status = 0;
     return true;
   }
+  // The server emits canonical header casing.
   size_t content_length = 0;
   size_t cl = headers.find("Content-Length:");
   if (cl != std::string::npos) {
@@ -374,216 +143,224 @@ void RaiseFdLimit() {
   }
 }
 
-// ---- Open-loop engine ------------------------------------------------------
-//
-// One thread, N non-blocking sockets, poll(2) readiness. Each connection
-// cycles kConnecting -> kSending -> kReading -> kSending ... issuing
-// back-to-back requests; latency is measured from first request byte to
-// last response byte. Failed or server-closed connections reconnect, so
-// the target concurrency is held for the whole run.
-struct OpenConn {
+// One connection: kConnecting -> kSending -> kReading -> kSending ...
+struct Conn {
   enum class State { kIdle, kConnecting, kSending, kReading };
   int fd = -1;
   State state = State::kIdle;
+  std::string request;  // the request this connection carries now
+  bool is_update = false;
   size_t send_offset = 0;
   std::string inbuf;
-  std::chrono::steady_clock::time_point sent_at;
+  uint64_t issued = 0;  // requests carried so far, for --update-every
+  Clock::time_point sent_at;
 };
 
-void OpenConnClose(OpenConn* conn) {
-  if (conn->fd >= 0) ::close(conn->fd);
-  conn->fd = -1;
-  conn->state = OpenConn::State::kIdle;
-  conn->send_offset = 0;
-  conn->inbuf.clear();
-}
-
-// Starts a non-blocking connect; the poll loop completes it via POLLOUT.
-bool OpenConnStart(const BenchConfig& config, const sockaddr_in& addr,
-                   OpenConn* conn) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) return false;
-  int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  (void)config;
-  conn->fd = fd;
-  conn->state = OpenConn::State::kConnecting;
-  conn->send_offset = 0;
-  conn->inbuf.clear();
-  return true;
-}
-
-void RunOpenLoop(const BenchConfig& config, const std::string& request,
-                 std::chrono::steady_clock::time_point stop_at,
-                 WorkerResult* out) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config.port);
-  if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1) {
-    ++out->transport_errors;
-    return;
+class LoadGenerator {
+ public:
+  LoadGenerator(const BenchConfig& config, const sockaddr_in& addr)
+      : config_(config),
+        addr_(addr),
+        conns_(static_cast<size_t>(config.connections)),
+        query_request_(QueryRequest(config, config.deadline_ms)),
+        update_request_("POST /update?table=" + config.update_table +
+                        "&op=insert HTTP/1.1\r\nHost: bench\r\n"
+                        "Content-Length: " +
+                        std::to_string(config.update_body.size()) +
+                        "\r\n\r\n" + config.update_body),
+        rng_(config.seed),
+        exp_dist_(config.deadline_ms > 0
+                      ? 1.0 / static_cast<double>(config.deadline_ms)
+                      : 1.0) {
+    result_.latencies_us.reserve(1 << 20);
   }
 
-  const size_t target = static_cast<size_t>(config.connections);
-  std::vector<OpenConn> conns(target);
-  std::vector<pollfd> pfds;
-  pfds.reserve(target);
-  out->latencies_us.reserve(1 << 20);
+  // Runs until the request budget is issued and drained or, in duration
+  // mode, until `stop_at`; requests in flight at `stop_at` are dropped.
+  RunResult Run(Clock::time_point stop_at) {
+    const bool by_duration = config_.requests == 0;
+    std::vector<pollfd> pfds;
+    std::vector<size_t> pfd_conn;  // pfd_conn[i]: the connection pfds[i] polls
+    while (!by_duration || Clock::now() < stop_at) {
+      size_t connecting = 0;
+      for (const Conn& c : conns_) {
+        if (c.state == Conn::State::kConnecting) ++connecting;
+      }
+      for (Conn& c : conns_) {
+        if (connecting >= kRampBatch || !BudgetLeft()) break;
+        if (c.state != Conn::State::kIdle) continue;
+        Issue(&c);
+        if (Connect(&c)) {
+          ++connecting;
+        } else {
+          ++result_.transport_errors;  // The issued request is lost.
+        }
+      }
 
-  auto now = std::chrono::steady_clock::now();
-  while (now < stop_at) {
-    // Ramp: keep at most --ramp-batch connects in flight so the SYN burst
-    // stays inside the server's listen backlog.
-    size_t connecting = 0;
-    for (const OpenConn& c : conns) {
-      if (c.state == OpenConn::State::kConnecting) ++connecting;
-    }
-    for (OpenConn& c : conns) {
-      if (connecting >= static_cast<size_t>(config.ramp_batch)) break;
-      if (c.state != OpenConn::State::kIdle) continue;
-      if (OpenConnStart(config, addr, &c)) {
-        ++connecting;
-      } else {
-        ++out->transport_errors;
+      pfds.clear();
+      pfd_conn.clear();
+      for (size_t i = 0; i < conns_.size(); ++i) {
+        if (conns_[i].fd < 0) continue;
+        short events =
+            conns_[i].state == Conn::State::kReading ? POLLIN : POLLOUT;
+        pfds.push_back(pollfd{conns_[i].fd, events, 0});
+        pfd_conn.push_back(i);
+      }
+      // Nothing in flight: the budget is spent, or (with time left) no
+      // connect got started, so give up instead of spinning.
+      if (pfds.empty() && (by_duration || !BudgetLeft())) break;
+      ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/100);
+      for (size_t i = 0; i < pfds.size(); ++i) {
+        if (pfds[i].revents != 0) {
+          OnReady(&conns_[pfd_conn[i]], pfds[i].revents);
+        }
       }
     }
+    for (Conn& c : conns_) Close(&c);
+    return std::move(result_);
+  }
 
-    pfds.clear();
-    for (OpenConn& c : conns) {
-      if (c.fd < 0) continue;
-      short events = 0;
-      switch (c.state) {
-        case OpenConn::State::kConnecting:
-          events = POLLOUT;
-          break;
-        case OpenConn::State::kSending:
-          events = POLLOUT;
-          break;
-        case OpenConn::State::kReading:
-          events = POLLIN;
-          break;
-        case OpenConn::State::kIdle:
+ private:
+  bool BudgetLeft() const {
+    return config_.requests == 0 || issued_ < config_.requests;
+  }
+
+  // Takes the next request of the budget and loads it into `c`.
+  void Issue(Conn* c) {
+    ++issued_;
+    c->is_update = config_.update_every > 0 &&
+                   !config_.update_table.empty() && c->issued > 0 &&
+                   c->issued % static_cast<uint64_t>(config_.update_every) ==
+                       0;
+    ++c->issued;
+    if (c->is_update) {
+      c->request = update_request_;
+    } else if (config_.deadline_exp && config_.deadline_ms > 0) {
+      c->request = QueryRequest(
+          config_, std::max<int64_t>(1, static_cast<int64_t>(exp_dist_(rng_))));
+    } else {
+      c->request = query_request_;
+    }
+    c->send_offset = 0;
+  }
+
+  // Starts a non-blocking connect; OnReady completes it on POLLOUT.
+  bool Connect(Conn* c) {
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0) return false;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr_),
+                  sizeof(addr_)) != 0 &&
+        errno != EINPROGRESS) {
+      ::close(fd);
+      return false;
+    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    c->fd = fd;
+    c->state = Conn::State::kConnecting;
+    return true;
+  }
+
+  // The next ramp pass reconnects an idle connection.
+  void Close(Conn* c) {
+    if (c->fd >= 0) ::close(c->fd);
+    c->fd = -1;
+    c->state = Conn::State::kIdle;
+    c->inbuf.clear();
+  }
+
+  void Fail(Conn* c) {
+    ++result_.transport_errors;
+    Close(c);
+  }
+
+  void OnReady(Conn* c, short revents) {
+    if (c->state == Conn::State::kConnecting) {
+      int err = 0;
+      socklen_t len = sizeof(err);
+      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 ||
+          ::getsockopt(c->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
+          err != 0) {
+        Fail(c);
+        return;
+      }
+      c->state = Conn::State::kSending;
+      c->sent_at = Clock::now();
+    }
+    if (c->state == Conn::State::kSending) {
+      while (c->send_offset < c->request.size()) {
+        ssize_t n = ::send(c->fd, c->request.data() + c->send_offset,
+                           c->request.size() - c->send_offset, MSG_NOSIGNAL);
+        if (n > 0) {
+          c->send_offset += static_cast<size_t>(n);
+        } else if (n < 0 && errno == EINTR) {
           continue;
+        } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          return;
+        } else {
+          Fail(c);
+          return;
+        }
       }
-      pfds.push_back(pollfd{c.fd, events, 0});
+      c->state = Conn::State::kReading;
+      return;
     }
-    if (pfds.empty()) {
-      ++out->transport_errors;
-      return;  // Nothing connectable at all — give up instead of spinning.
-    }
-    ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/100);
 
-    // Index connections by fd for the (sparse) ready subset.
-    std::map<int, OpenConn*> by_fd;
-    for (OpenConn& c : conns) {
-      if (c.fd >= 0) by_fd[c.fd] = &c;
-    }
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) continue;
-      OpenConn* c = by_fd[p.fd];
-      if (c == nullptr) continue;
-      if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-          c->state == OpenConn::State::kConnecting) {
-        ++out->transport_errors;
-        OpenConnClose(c);
+    char chunk[8192];
+    bool closed = false;
+    for (;;) {
+      ssize_t n = ::recv(c->fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        c->inbuf.append(chunk, static_cast<size_t>(n));
+        if (static_cast<size_t>(n) < sizeof(chunk)) break;
+      } else if (n < 0 && errno == EINTR) {
         continue;
-      }
-      if (c->state == OpenConn::State::kConnecting) {
-        int err = 0;
-        socklen_t len = sizeof(err);
-        ::getsockopt(c->fd, SOL_SOCKET, SO_ERROR, &err, &len);
-        if (err != 0) {
-          ++out->transport_errors;
-          OpenConnClose(c);
-          continue;
-        }
-        c->state = OpenConn::State::kSending;
-        c->sent_at = std::chrono::steady_clock::now();
-      }
-      if (c->state == OpenConn::State::kSending &&
-          (p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-        while (c->send_offset < request.size()) {
-          ssize_t n = ::send(c->fd, request.data() + c->send_offset,
-                             request.size() - c->send_offset, MSG_NOSIGNAL);
-          if (n > 0) {
-            c->send_offset += static_cast<size_t>(n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          ++out->transport_errors;
-          OpenConnClose(c);
-          break;
-        }
-        if (c->fd >= 0 && c->send_offset == request.size()) {
-          c->state = OpenConn::State::kReading;
-        }
-      }
-      if (c->fd >= 0 && c->state == OpenConn::State::kReading &&
-          (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        char chunk[8192];
-        bool closed = false;
-        for (;;) {
-          ssize_t n = ::recv(c->fd, chunk, sizeof(chunk), 0);
-          if (n > 0) {
-            c->inbuf.append(chunk, static_cast<size_t>(n));
-            if (static_cast<size_t>(n) < sizeof(chunk)) break;
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          closed = true;
-          break;
-        }
-        int status = 0;
-        bool cache_hit = false, degraded = false, close_after = false;
-        if (TryConsumeResponse(&c->inbuf, &status, &cache_hit, &degraded,
-                               &close_after)) {
-          if (status == 0) {
-            ++out->transport_errors;
-            OpenConnClose(c);
-            continue;
-          }
-          auto elapsed =
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - c->sent_at);
-          out->latencies_us.push_back(static_cast<uint64_t>(elapsed.count()));
-          ++out->status_counts[status];
-          if (cache_hit) ++out->cache_hits;
-          if (degraded) ++out->degraded;
-          if (close_after) {
-            OpenConnClose(c);  // Reconnects on the next ramp pass.
-          } else {
-            // Next request, back to back.
-            c->state = OpenConn::State::kSending;
-            c->send_offset = 0;
-            c->sent_at = std::chrono::steady_clock::now();
-          }
-          continue;
-        }
-        if (closed) {
-          // EOF mid-response (idle-closed by the server under overload, or
-          // shutdown): a dropped in-flight request is a transport error.
-          if (c->send_offset > 0) ++out->transport_errors;
-          OpenConnClose(c);
-        }
+      } else {
+        closed = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+        break;
       }
     }
-    now = std::chrono::steady_clock::now();
+    int status = 0;
+    bool cache_hit = false, degraded = false, close_after = false;
+    if (!TryConsumeResponse(&c->inbuf, &status, &cache_hit, &degraded,
+                            &close_after)) {
+      // EOF mid-response (an idle close under overload, or shutdown): the
+      // dropped request is a transport error.
+      if (closed) Fail(c);
+      return;
+    }
+    if (status == 0) {
+      Fail(c);
+      return;
+    }
+    ++result_.status_counts[status];
+    if (!c->is_update) {
+      result_.latencies_us.push_back(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::now() - c->sent_at)
+              .count()));
+    }
+    if (cache_hit) ++result_.cache_hits;
+    if (degraded) ++result_.degraded;
+    if (close_after || !BudgetLeft()) {
+      Close(c);
+      return;
+    }
+    Issue(c);
+    c->state = Conn::State::kSending;
+    c->sent_at = Clock::now();
   }
-  size_t still_open = 0;
-  for (OpenConn& c : conns) {
-    if (c.fd >= 0) ++still_open;
-    OpenConnClose(&c);
-  }
-  out->peak_open = still_open;
-}
+
+  const BenchConfig& config_;
+  const sockaddr_in addr_;
+  std::vector<Conn> conns_;
+  const std::string query_request_;
+  const std::string update_request_;
+  std::mt19937_64 rng_;
+  std::exponential_distribution<double> exp_dist_;
+  int64_t issued_ = 0;
+  RunResult result_;
+};
 
 double Quantile(const std::vector<uint64_t>& sorted, double q) {
   if (sorted.empty()) return 0;
@@ -601,10 +378,9 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv, 1);
   if (!flags.ok() ||
       !flags.CheckAllowed({"host", "port", "sql", "accept", "connections",
-                           "requests", "duration-s", "qps", "deadline-ms",
+                           "requests", "duration-s", "deadline-ms",
                            "deadline-dist", "update-every", "update-table",
-                           "update-body", "seed", "out", "open-loop",
-                           "ramp-batch"})) {
+                           "update-body", "seed", "out"})) {
     std::fprintf(stderr, "galaxy_bench_client: %s\n", flags.error().c_str());
     return 2;
   }
@@ -614,7 +390,6 @@ int main(int argc, char** argv) {
   }
 
   BenchConfig config;
-  config.host = flags.Get("host", "127.0.0.1");
   config.sql = flags.Get("sql", "SELECT * FROM data");
   config.accept = flags.Get("accept") == "csv" ? "text/csv"
                                                : "application/json";
@@ -632,13 +407,11 @@ int main(int argc, char** argv) {
   auto connections = flags.GetInt("connections", 4);
   auto requests = flags.GetInt("requests", 1000);
   auto duration_s = flags.GetInt("duration-s", 0);
-  auto qps = flags.GetInt("qps", 0);
   auto deadline_ms = flags.GetInt("deadline-ms", 0);
   auto update_every = flags.GetInt("update-every", 0);
   auto seed = flags.GetInt("seed", 1);
-  auto ramp_batch = flags.GetInt("ramp-batch", 512);
-  for (const auto* v : {&port, &connections, &requests, &duration_s, &qps,
-                        &deadline_ms, &update_every, &seed, &ramp_batch}) {
+  for (const auto* v : {&port, &connections, &requests, &duration_s,
+                        &deadline_ms, &update_every, &seed}) {
     if (!v->ok()) {
       std::fprintf(stderr, "galaxy_bench_client: %s\n",
                    v->status().message().c_str());
@@ -649,71 +422,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "galaxy_bench_client: bad --port/--connections\n");
     return 2;
   }
-  config.port = static_cast<uint16_t>(*port);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  if (::inet_pton(AF_INET, flags.Get("host", "127.0.0.1").c_str(),
+                  &addr.sin_addr) != 1) {
+    std::fprintf(stderr, "galaxy_bench_client: --host must be IPv4\n");
+    return 2;
+  }
   config.connections = static_cast<int>(*connections);
-  config.duration_s = *duration_s;
   config.requests = *duration_s > 0 ? 0 : *requests;
-  config.qps = static_cast<double>(*qps);
   config.deadline_ms = *deadline_ms;
   config.update_every = *update_every;
   config.seed = static_cast<uint64_t>(*seed);
-  config.open_loop = flags.Has("open-loop") && flags.Get("open-loop") != "false";
-  config.ramp_batch = *ramp_batch;
-  if (config.ramp_batch <= 0) {
-    std::fprintf(stderr, "galaxy_bench_client: --ramp-batch must be > 0\n");
-    return 2;
-  }
-  if (config.open_loop && config.duration_s <= 0) {
-    std::fprintf(stderr,
-                 "galaxy_bench_client: --open-loop requires --duration-s\n");
-    return 2;
-  }
 
-  std::atomic<int64_t> remaining{config.requests};
-  auto start = std::chrono::steady_clock::now();
-  auto stop_at = start + std::chrono::seconds(
-                             config.duration_s > 0 ? config.duration_s : 0);
+  RaiseFdLimit();
+  auto start = Clock::now();
+  RunResult result = LoadGenerator(config, addr).Run(
+      start + std::chrono::seconds(std::max<int64_t>(*duration_s, 0)));
+  double wall_s = std::chrono::duration<double>(Clock::now() - start).count();
 
-  std::vector<WorkerResult> results;
-  if (config.open_loop) {
-    RaiseFdLimit();
-    // A thread per connection does not scale to C10K; the open-loop engine
-    // multiplexes every socket on one poll(2) loop instead.
-    results.resize(1);
-    std::string request =
-        "POST /query HTTP/1.1\r\nHost: bench\r\nAccept: " + config.accept +
-        "\r\nContent-Length: " + std::to_string(config.sql.size()) + "\r\n\r\n" +
-        config.sql;
-    RunOpenLoop(config, request, stop_at, &results[0]);
-  } else {
-    results.resize(static_cast<size_t>(config.connections));
-    std::vector<std::thread> workers;
-    for (int i = 0; i < config.connections; ++i) {
-      workers.emplace_back(RunWorker, std::cref(config), i, &remaining,
-                           stop_at, &results[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : workers) t.join();
-  }
-  double wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-
-  // ---- Merge. --------------------------------------------------------------
-  std::map<int, uint64_t> status_counts;
-  std::vector<uint64_t> latencies;
-  uint64_t transport_errors = 0, cache_hits = 0, degraded = 0;
-  for (const WorkerResult& r : results) {
-    for (const auto& [code, n] : r.status_counts) status_counts[code] += n;
-    latencies.insert(latencies.end(), r.latencies_us.begin(),
-                     r.latencies_us.end());
-    transport_errors += r.transport_errors;
-    cache_hits += r.cache_hits;
-    degraded += r.degraded;
-  }
+  std::vector<uint64_t>& latencies = result.latencies_us;
   std::sort(latencies.begin(), latencies.end());
 
   uint64_t total = 0, sum_us = 0;
-  for (const auto& [code, n] : status_counts) total += n;
+  for (const auto& [code, n] : result.status_counts) total += n;
   for (uint64_t us : latencies) sum_us += us;
 
   // Power-of-two microsecond buckets, the layout server/metrics.h uses.
@@ -724,14 +457,12 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n";
-  json += std::string("  \"mode\": \"") +
-          (config.open_loop ? "open-loop" : "closed-loop") + "\",\n";
   json += "  \"connections\": " + std::to_string(config.connections) + ",\n";
   json += "  \"requests\": " + std::to_string(total) + ",\n";
-  json += "  \"transport_errors\": " + std::to_string(transport_errors) +
+  json += "  \"transport_errors\": " + std::to_string(result.transport_errors) +
           ",\n";
-  json += "  \"cache_hits\": " + std::to_string(cache_hits) + ",\n";
-  json += "  \"degraded\": " + std::to_string(degraded) + ",\n";
+  json += "  \"cache_hits\": " + std::to_string(result.cache_hits) + ",\n";
+  json += "  \"degraded\": " + std::to_string(result.degraded) + ",\n";
   json += "  \"duration_s\": " + std::to_string(wall_s) + ",\n";
   json += "  \"qps\": " +
           std::to_string(wall_s > 0 ? static_cast<double>(total) / wall_s
@@ -739,7 +470,7 @@ int main(int argc, char** argv) {
           ",\n";
   json += "  \"status\": {";
   bool first = true;
-  for (const auto& [code, n] : status_counts) {
+  for (const auto& [code, n] : result.status_counts) {
     if (!first) json += ", ";
     first = false;
     json += "\"" + std::to_string(code) + "\": " + std::to_string(n);
@@ -782,5 +513,5 @@ int main(int argc, char** argv) {
   } else {
     std::fwrite(json.data(), 1, json.size(), stdout);
   }
-  return transport_errors == 0 ? 0 : 1;
+  return result.transport_errors == 0 ? 0 : 1;
 }

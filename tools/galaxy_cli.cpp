@@ -23,9 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,87 +37,13 @@
 #include "sql/catalog.h"
 #include "sql/executor.h"
 
+#include "flags.h"
+
 namespace {
 
 using galaxy::Status;
 using galaxy::Table;
-
-// Minimal --flag value parser; flags may appear in any order. Numeric
-// accessors parse strictly (whole string must be a number) and fail with a
-// usage error instead of throwing.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string name = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          values_[name] = argv[++i];
-        } else {
-          values_[name] = "true";  // boolean flag
-        }
-      } else {
-        error_ = "unexpected argument: " + arg;
-        return;
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  /// One-line diagnostic + exit 2 on a flag not in `allowed`.
-  bool CheckAllowed(std::initializer_list<const char*> allowed) {
-    std::set<std::string> names(allowed.begin(), allowed.end());
-    for (const auto& [name, value] : values_) {
-      if (names.count(name) == 0) {
-        error_ = "unknown flag: --" + name;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  galaxy::Result<double> GetDouble(const std::string& name,
-                                   double fallback) const {
-    if (!Has(name)) return fallback;
-    const std::string& text = values_.at(name);
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size() || text.empty()) {
-      return Status::InvalidArgument("--" + name +
-                                     " expects a number, got: " + text);
-    }
-    return v;
-  }
-
-  galaxy::Result<int64_t> GetInt(const std::string& name,
-                                 int64_t fallback) const {
-    if (!Has(name)) return fallback;
-    const std::string& text = values_.at(name);
-    char* end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size() || text.empty()) {
-      return Status::InvalidArgument("--" + name +
-                                     " expects an integer, got: " + text);
-    }
-    return static_cast<int64_t>(v);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
+using galaxy::tools::Flags;
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

@@ -54,6 +54,8 @@
 #include "storage/fault_env.h"
 #include "storage/wal.h"
 
+#include "flags.h"
+
 namespace {
 
 using galaxy::ColumnDef;
@@ -62,6 +64,7 @@ using galaxy::Status;
 using galaxy::Table;
 using galaxy::TableBuilder;
 using galaxy::ValueType;
+using galaxy::tools::Flags;
 
 // The torture table. The child seeds it on a fresh data directory; the
 // parent's oracle starts from the same rows.
@@ -418,7 +421,7 @@ ChildHandle SpawnChild(const char* self, const std::string& dir,
     // Re-exec ourselves in child mode: fork+exec keeps the child's address
     // space clean of the parent's threads and lets the FaultInjectionEnv
     // count this process's operations from zero.
-    ::execl(self, self, "--child", "true", "--data-dir", dir.c_str(),
+    ::execl(self, self, "--child", "--data-dir", dir.c_str(),
             "--port-fd", port_fd.c_str(), "--fsync", fsync.c_str(),
             "--snapshot-every", snap.c_str(), "--fault", fault.c_str(),
             static_cast<char*>(nullptr));
@@ -740,61 +743,39 @@ int RunTorture(const char* self, const std::string& dir, uint64_t seed,
   return 0;
 }
 
-// Minimal --flag value parser (same contract as galaxy_served's).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string name = arg.substr(2);
-        if (i + 1 < argc) {
-          values_[name] = argv[++i];
-        } else {
-          values_[name] = "true";
-        }
-      } else {
-        error_ = "unexpected argument: " + arg;
-        return;
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv, 1);
-  if (!flags.ok()) {
+  const bool child = flags.Has("child");
+  if (!flags.ok() ||
+      !(child ? flags.CheckAllowed({"child", "data-dir", "fault", "fsync",
+                                    "snapshot-every", "port-fd"})
+              : flags.CheckAllowed({"cycles", "seed", "data-dir",
+                                    "verbose"}))) {
     std::fprintf(stderr, "galaxy_crashtest: %s\n", flags.error().c_str());
     return 2;
   }
-
-  if (flags.Has("child")) {
-    return RunChild(flags.Get("data-dir"), flags.Get("fault"),
-                    flags.Get("fsync", "always"),
-                    std::strtoull(flags.Get("snapshot-every", "8").c_str(),
-                                  nullptr, 10),
-                    std::atoi(flags.Get("port-fd", "-1").c_str()));
+  auto cycles = flags.GetInt("cycles", 200);
+  auto seed = flags.GetInt("seed", 1);
+  auto snapshot_every = flags.GetInt("snapshot-every", 8);
+  auto port_fd = flags.GetInt("port-fd", -1);
+  for (const auto* v : {&cycles, &seed, &snapshot_every, &port_fd}) {
+    if (!v->ok()) {
+      std::fprintf(stderr, "galaxy_crashtest: %s\n",
+                   v->status().message().c_str());
+      return 2;
+    }
   }
 
-  const int cycles = std::atoi(flags.Get("cycles", "200").c_str());
-  const uint64_t seed =
-      std::strtoull(flags.Get("seed", "1").c_str(), nullptr, 10);
-  if (cycles <= 0) {
+  if (child) {
+    return RunChild(flags.Get("data-dir"), flags.Get("fault"),
+                    flags.Get("fsync", "always"),
+                    static_cast<uint64_t>(*snapshot_every),
+                    static_cast<int>(*port_fd));
+  }
+
+  if (*cycles <= 0) {
     std::fprintf(stderr, "galaxy_crashtest: --cycles must be positive\n");
     return 2;
   }
@@ -809,7 +790,8 @@ int main(int argc, char** argv) {
   // Resolve our own binary for fork+exec of child servers.
   const char* self = "/proc/self/exe";
 
-  int result = RunTorture(self, dir, seed, cycles, flags.Has("verbose"));
+  int result = RunTorture(self, dir, static_cast<uint64_t>(*seed),
+                          static_cast<int>(*cycles), flags.Has("verbose"));
 
   if (!scratch.empty()) {
     // Best-effort scratch cleanup through the Env seam.

@@ -32,8 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/rng.h"
@@ -45,12 +43,16 @@
 #include "testing/property_gen.h"
 #include "testing/sql_fuzz.h"
 
+#include "flags.h"
+
 namespace {
 
+using galaxy::tools::Flags;
+
 struct FuzzOptions {
-  std::string target = "diff";
-  uint64_t seed = 1;
-  uint64_t runs = 1000;
+  std::string target;
+  uint64_t seed = 0;
+  uint64_t runs = 0;
   double max_seconds = 0.0;  // 0 = unbounded
   bool verbose = false;
 };
@@ -61,38 +63,30 @@ void Usage() {
                "[--seed N] [--runs N] [--max-seconds S] [--verbose]\n");
 }
 
+// One-line diagnostic, then false, on an unknown flag, a malformed number
+// or an unknown target.
 bool ParseFlags(int argc, char** argv, FuzzOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--runs") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->runs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--max-seconds") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->max_seconds = std::strtod(v, nullptr);
-    } else if (arg == "--target") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->target = v;
-    } else if (arg.rfind("--target=", 0) == 0) {
-      options->target = arg.substr(9);
-    } else if (arg == "--verbose") {
-      options->verbose = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+  Flags flags(argc, argv, 1);
+  if (!flags.ok() || !flags.CheckAllowed({"target", "seed", "runs",
+                                          "max-seconds", "verbose"})) {
+    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    return false;
+  }
+  auto seed = flags.GetInt("seed", 1);
+  auto runs = flags.GetInt("runs", 1000);
+  auto max_seconds = flags.GetDouble("max-seconds", 0.0);
+  for (const galaxy::Status& status :
+       {seed.status(), runs.status(), max_seconds.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
       return false;
     }
   }
+  options->target = flags.Get("target", "diff");
+  options->seed = static_cast<uint64_t>(*seed);
+  options->runs = static_cast<uint64_t>(*runs);
+  options->max_seconds = *max_seconds;
+  options->verbose = flags.Has("verbose");
   if (options->target != "diff" && options->target != "sql" &&
       options->target != "faults" && options->target != "http" &&
       options->target != "conn" && options->target != "wal") {

@@ -29,12 +29,10 @@
 #include <sys/resource.h>
 
 #include <csignal>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
-#include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,70 +45,13 @@
 #include "storage/env.h"
 #include "storage/wal.h"
 
+#include "flags.h"
+
 namespace {
 
 using galaxy::Status;
 using galaxy::Table;
-
-// Minimal --flag value parser (same contract as galaxy_cli's).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string name = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          values_[name] = argv[++i];
-        } else {
-          values_[name] = "true";
-        }
-      } else {
-        error_ = "unexpected argument: " + arg;
-        return;
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  bool CheckAllowed(std::initializer_list<const char*> allowed) {
-    std::set<std::string> names(allowed.begin(), allowed.end());
-    for (const auto& [name, value] : values_) {
-      if (names.count(name) == 0) {
-        error_ = "unknown flag: --" + name;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  galaxy::Result<int64_t> GetInt(const std::string& name,
-                                 int64_t fallback) const {
-    if (!Has(name)) return fallback;
-    const std::string& text = values_.at(name);
-    char* end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size() || text.empty()) {
-      return Status::InvalidArgument("--" + name +
-                                     " expects an integer, got: " + text);
-    }
-    return static_cast<int64_t>(v);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
+using galaxy::tools::Flags;
 
 // Event mode holds one fd per open connection; at C10K the default soft
 // limit (often 1024) exhausts immediately, so raise it to the hard cap.
