@@ -12,7 +12,6 @@
 #include "common/timer.h"         // IWYU pragma: export
 #include "common/zipf.h"          // IWYU pragma: export
 #include "core/aggregate_skyline.h"  // IWYU pragma: export
-#include "core/domination_matrix.h"  // IWYU pragma: export
 #include "core/gamma.h"           // IWYU pragma: export
 #include "core/group.h"           // IWYU pragma: export
 #include "core/options.h"         // IWYU pragma: export

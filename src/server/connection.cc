@@ -21,6 +21,15 @@ namespace galaxy::server {
 
 namespace {
 
+/// Backpressure threshold: while a connection's output buffer holds more
+/// than this, the loop stops reading it and stops dispatching its
+/// pipelined requests until the peer drains.
+constexpr size_t kMaxOutputBuffer = 1 << 20;
+/// Input-side cap per connection (backstop over the parser's limits).
+constexpr size_t kMaxInputBuffer = kMaxHeaderBytes + kMaxBodyBytes + 4096;
+/// Timer-wheel resolution: idle deadlines fire within one tick.
+constexpr std::chrono::milliseconds kTimerTick{20};
+
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -133,7 +142,7 @@ void Connection::MaybeDispatch() {
     UpdateInterest();
     return;
   }
-  if (output_bytes() > engine_->options_.max_output_buffer) {
+  if (output_bytes() > kMaxOutputBuffer) {
     // Backpressure: the peer is not draining responses; stop consuming its
     // pipeline until Flush gets the buffer back under the threshold.
     UpdateInterest();
@@ -230,7 +239,7 @@ void Connection::UpdateInterest() {
   const bool want_write = output_bytes() > 0;
   const bool want_read =
       !peer_half_closed_ && !machine_.poisoned() && !close_after_flush_ &&
-      output_bytes() <= engine_->options_.max_output_buffer;
+      output_bytes() <= kMaxOutputBuffer;
   if (want_write == want_write_ && want_read == want_read_) return;
   want_write_ = want_write;
   want_read_ = want_read;
@@ -242,15 +251,16 @@ void Connection::UpdateInterest() {
 
 // ---- EventEngine -----------------------------------------------------------
 
-EventEngine::EventEngine(const EventEngineOptions& options, Handler handler,
-                         ResponseObserver count_response,
+EventEngine::EventEngine(size_t workers, bool use_epoll,
+                         std::chrono::milliseconds idle_timeout,
+                         Handler handler, ResponseObserver count_response,
                          ConnectionMetrics metrics)
-    : options_(options),
+    : idle_timeout_(idle_timeout),
       handler_(std::move(handler)),
       count_response_(std::move(count_response)),
       metrics_(metrics),
-      loop_(EventLoop::Options{options.use_epoll, options.timer_tick, 512}),
-      workers_(options.workers),
+      loop_(EventLoop::Options{use_epoll, kTimerTick, 512}),
+      workers_(workers),
       acceptor_(this) {}
 
 EventEngine::~EventEngine() { Stop(); }
@@ -322,8 +332,7 @@ void EventEngine::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(this, id, fd,
-                                             options_.max_input_buffer);
+    auto conn = std::make_unique<Connection>(this, id, fd, kMaxInputBuffer);
     Status added = loop_.AddFd(fd, conn.get(), /*want_read=*/true,
                                /*want_write=*/false);
     if (!added.ok()) {
@@ -338,7 +347,11 @@ void EventEngine::AcceptReady() {
 }
 
 void EventEngine::Dispatch(uint64_t conn_id, HttpRequest request) {
-  workers_.Submit([this, conn_id, request = std::move(request)]() mutable {
+  const auto handed_off = std::chrono::steady_clock::now();
+  workers_.Submit([this, conn_id, handed_off,
+                   request = std::move(request)]() mutable {
+    request.queue_wait = HttpRequest::QueueWait{
+        std::chrono::steady_clock::now() - handed_off, workers_.waiting()};
     HttpResponse response = handler_(request);
     response.close = response.close || request.WantsClose();
     const bool close_after = response.close;
@@ -379,8 +392,7 @@ void EventEngine::CloseConnection(uint64_t conn_id, bool idle_close) {
 }
 
 void EventEngine::TouchIdleDeadline(uint64_t conn_id) {
-  loop_.ScheduleTimer(conn_id, TimerWheel::Clock::now() +
-                                   options_.idle_timeout);
+  loop_.ScheduleTimer(conn_id, TimerWheel::Clock::now() + idle_timeout_);
 }
 
 void EventEngine::OnTimer(uint64_t conn_id) {

@@ -72,22 +72,6 @@ struct ConnectionMetrics {
   Histogram* read_stall_seconds = nullptr;
 };
 
-struct EventEngineOptions {
-  /// Query-execution worker threads.
-  size_t workers = 4;
-  bool use_epoll = true;
-  /// A connection is closed when no *complete* request arrives within this
-  /// window — trickling partial bytes does not reset it (slowloris guard).
-  std::chrono::milliseconds idle_timeout{10000};
-  /// Backpressure threshold: while a connection's output buffer holds more
-  /// than this, the loop stops reading it and stops dispatching its
-  /// pipelined requests until the peer drains.
-  size_t max_output_buffer = 1 << 20;
-  /// Input-side cap per connection (backstop over the parser's limits).
-  size_t max_input_buffer = kMaxHeaderBytes + kMaxBodyBytes + 4096;
-  std::chrono::milliseconds timer_tick{20};
-};
-
 class EventEngine;
 
 /// One accepted socket inside the event engine: owns the fd, the
@@ -152,9 +136,12 @@ class Connection final : public EventLoop::FdHandler {
 
 /// The event-driven serving engine: an EventLoop on a dedicated thread
 /// multiplexing the listen fd plus every connection, and a WorkerPool
-/// running the request handler. The engine owns accepted fds; the listen
-/// fd stays owned by the caller (Server), which also keeps the
-/// bind/listen/port logic shared between serving modes.
+/// running the request handler. The worker that picks a request up stamps
+/// HttpRequest::queue_wait before calling the handler. The engine owns
+/// accepted fds; the listen fd stays owned by the caller (Server), which
+/// also keeps the bind/listen/port logic. A connection is closed when no
+/// *complete* request arrives within `idle_timeout`; trickling partial
+/// bytes does not reset it (slowloris guard).
 class EventEngine {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -163,7 +150,8 @@ class EventEngine {
   /// per-code response counters. May be null.
   using ResponseObserver = std::function<void(const HttpResponse&)>;
 
-  EventEngine(const EventEngineOptions& options, Handler handler,
+  EventEngine(size_t workers, bool use_epoll,
+              std::chrono::milliseconds idle_timeout, Handler handler,
               ResponseObserver count_response, ConnectionMetrics metrics);
   ~EventEngine();
 
@@ -179,6 +167,8 @@ class EventEngine {
   void Stop();
 
   const char* poller_name() const { return loop_.poller_name(); }
+  /// Requests handed to the worker pool and not yet picked up. Any thread.
+  size_t waiting() const { return workers_.waiting(); }
 
  private:
   friend class Connection;
@@ -210,7 +200,7 @@ class EventEngine {
   void TouchIdleDeadline(uint64_t conn_id) REQUIRES(loop_thread_role);
   void OnTimer(uint64_t conn_id) REQUIRES(loop_thread_role);
 
-  const EventEngineOptions options_;
+  const std::chrono::milliseconds idle_timeout_;
   const Handler handler_;
   const ResponseObserver count_response_;
   const ConnectionMetrics metrics_;

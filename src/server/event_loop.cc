@@ -326,6 +326,11 @@ void WorkerPool::Stop() {
   started_ = false;
 }
 
+size_t WorkerPool::waiting() const {
+  common::MutexLock lock(&mutex_);
+  return queue_.size();
+}
+
 void WorkerPool::WorkerMain() {
   for (;;) {
     std::function<void()> task;

@@ -96,10 +96,11 @@ class TimerWheel {
 };
 
 /// A small fixed-size pool of threads executing queued closures in FIFO
-/// order. This is the serving layer's query-execution pool: the event loop
-/// hands parsed requests to it so a query blocking on an
-/// ExecutionContext deadline (or on admission control) never stalls
-/// network I/O.
+/// order. This is the serving layer's query-execution pool and its only
+/// request queue: the event loop hands parsed requests to it so a running
+/// query never stalls network I/O, at most num_threads() requests execute
+/// at once, and the server sheds cache-missing queries that find the queue
+/// too long or waited in it too long (Server::HandleQuery).
 class WorkerPool {
  public:
   explicit WorkerPool(size_t num_threads);
@@ -117,12 +118,14 @@ class WorkerPool {
   void Stop() EXCLUDES(mutex_);
 
   size_t num_threads() const { return num_threads_; }
+  /// Tasks submitted but not yet picked up by a worker.
+  size_t waiting() const EXCLUDES(mutex_);
 
  private:
   void WorkerMain() EXCLUDES(mutex_);
 
   const size_t num_threads_;
-  common::Mutex mutex_;
+  mutable common::Mutex mutex_;
   common::CondVar work_available_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;

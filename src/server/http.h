@@ -1,6 +1,8 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,6 +32,17 @@ struct HttpRequest {
 
   std::string path;  ///< target up to '?', percent-decoded
   std::vector<std::pair<std::string, std::string>> query_params;
+
+  /// How the request fared in the event engine's worker pool, stamped when
+  /// a worker picks it up. The server's overload rule reads it; in-process
+  /// callers of Server::Handle leave it unset and are always admitted.
+  struct QueueWait {
+    /// Time from the hand-off to the pool until a worker picked it up.
+    std::chrono::steady_clock::duration waited{};
+    /// Requests still waiting in the pool at that moment.
+    size_t waiting = 0;
+  };
+  std::optional<QueueWait> queue_wait;
 
   /// First header with the given case-insensitive name, or nullptr.
   const std::string* FindHeader(std::string_view name) const;

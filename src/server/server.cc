@@ -23,6 +23,9 @@ namespace galaxy::server {
 
 namespace {
 
+/// Byte budget of the result cache (its entry count is configurable).
+constexpr size_t kCacheBytes = 64 * 1024 * 1024;
+
 HttpResponse JsonError(int http_status, const Status& status) {
   return JsonErrorResponse(http_status, status);
 }
@@ -120,8 +123,7 @@ Result<uint64_t> ParseUintHeader(const HttpRequest& request,
 Server::Server(sql::Database* db, const ServerOptions& options)
     : db_(db),
       options_(options),
-      admission_(options.admission),
-      cache_(options.cache_entries, options.cache_bytes),
+      cache_(options.cache_entries, kCacheBytes),
       start_time_(std::chrono::steady_clock::now()) {
   requests_total_ = metrics_.AddCounter(
       "galaxy_http_requests_total", "HTTP requests received");
@@ -133,7 +135,8 @@ Server::Server(sql::Database* db, const ServerOptions& options)
       metrics_.AddCounter("galaxy_updates_total", "POST /update requests");
   rejected_total_ = metrics_.AddCounter(
       "galaxy_admission_rejected_total",
-      "queries turned away by admission control (429)");
+      "cache-missing queries shed because the worker queue was too long "
+      "or they waited in it too long (429)");
   degraded_total_ = metrics_.AddCounter(
       "galaxy_degraded_results_total",
       "queries answered with a sound approximate superset (206)");
@@ -173,11 +176,11 @@ Server::Server(sql::Database* db, const ServerOptions& options)
       "{code=\"other\"}");
   query_latency_ = metrics_.AddHistogram(
       "galaxy_query_latency_seconds",
-      "end-to-end /query latency (admission wait included)");
+      "/query latency from worker pickup to response");
   active_queries_ =
       metrics_.AddGauge("galaxy_active_queries", "queries executing now");
-  queue_depth_ = metrics_.AddGauge("galaxy_queue_depth",
-                                   "queries waiting for an execution slot");
+  queue_depth_ = metrics_.AddGauge(
+      "galaxy_queue_depth", "requests waiting in the worker pool for a worker");
   cache_entries_gauge_ =
       metrics_.AddGauge("galaxy_result_cache_entries", "cached results");
   cache_evictions_ = metrics_.AddGauge("galaxy_cache_evictions_total",
@@ -292,18 +295,13 @@ Status Server::Start() {
   listen_fd_ = fd;
   stopping_.store(false, std::memory_order_relaxed);
 
-  EventEngineOptions engine_options;
-  engine_options.workers = options_.io_workers;
-  engine_options.use_epoll = options_.use_epoll;
-  engine_options.idle_timeout = options_.idle_timeout;
-  engine_options.max_output_buffer = options_.max_output_buffer;
   ConnectionMetrics conn_metrics;
   conn_metrics.connections_open = connections_open_;
   conn_metrics.connections_total = connections_total_;
   conn_metrics.idle_closed = connections_idle_closed_;
   conn_metrics.read_stall_seconds = read_stall_seconds_;
   engine_ = std::make_unique<EventEngine>(
-      engine_options,
+      options_.io_workers, options_.use_epoll, options_.idle_timeout,
       [this](const HttpRequest& request) { return Handle(request); },
       [this](const HttpResponse& response) { CountResponse(response); },
       conn_metrics);
@@ -397,8 +395,8 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   const std::string cache_key =
       NormalizeSql(sql) + (want_csv ? "\ncsv" : "\njson");
 
-  // Cache hits are served before admission control: they cost a map lookup,
-  // so turning them away under overload would only add load.
+  // Cache hits are never shed: they cost a map lookup, so turning them
+  // away under overload would only add load.
   if (std::shared_ptr<const CachedResponse> hit =
           cache_.Lookup(cache_key, *db_)) {
     cache_hits_->Inc();
@@ -411,32 +409,24 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   }
   cache_misses_->Inc();
 
-  switch (admission_.Acquire()) {
-    case AdmissionController::Outcome::kAdmitted:
-      break;
-    case AdmissionController::Outcome::kRejected:
-    case AdmissionController::Outcome::kTimedOut: {
-      rejected_total_->Inc();
-      queue_depth_->Set(static_cast<int64_t>(admission_.queued()));
-      HttpResponse response = JsonError(
-          429, Status::ResourceExhausted(
-                   "server overloaded; queue full or wait timed out"));
-      response.extra_headers.emplace_back("Retry-After", "1");
-      return response;
-    }
+  // Overload shedding. The worker pool is the only queue, so a miss that
+  // found it longer than queue_capacity, or waited in it longer than
+  // queue_timeout, is turned away before it costs a skyline computation.
+  if (request.queue_wait.has_value() &&
+      (request.queue_wait->waiting > options_.queue_capacity ||
+       request.queue_wait->waited > options_.queue_timeout)) {
+    rejected_total_->Inc();
+    HttpResponse response = JsonError(
+        429, Status::ResourceExhausted(
+                 "server overloaded; queue full or wait timed out"));
+    response.extra_headers.emplace_back("Retry-After", "1");
+    return response;
   }
-  struct SlotRelease {
-    Server* server;
-    ~SlotRelease() {
-      server->admission_.Release();
-      server->active_queries_->Set(
-          static_cast<int64_t>(server->admission_.active()));
-      server->queue_depth_->Set(
-          static_cast<int64_t>(server->admission_.queued()));
-    }
-  } release{this};
-  active_queries_->Set(static_cast<int64_t>(admission_.active()));
-  queue_depth_->Set(static_cast<int64_t>(admission_.queued()));
+  active_queries_->Add(1);
+  struct ActiveQuery {
+    Gauge* gauge;
+    ~ActiveQuery() { gauge->Add(-1); }
+  } active{active_queries_};
 
   // Capture dependency versions BEFORE executing: if a concurrent /update
   // lands mid-query the entry records the pre-update version and the next
@@ -774,8 +764,8 @@ HttpResponse Server::HandleMetrics() {
   cache_entries_gauge_->Set(static_cast<int64_t>(cache_.size()));
   cache_evictions_->Set(static_cast<int64_t>(cache_stats.evictions));
   cache_invalidations_->Set(static_cast<int64_t>(cache_stats.invalidations));
-  active_queries_->Set(static_cast<int64_t>(admission_.active()));
-  queue_depth_->Set(static_cast<int64_t>(admission_.queued()));
+  queue_depth_->Set(
+      static_cast<int64_t>(engine_ != nullptr ? engine_->waiting() : 0));
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)

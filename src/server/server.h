@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/incremental.h"
-#include "server/admission.h"
 #include "server/connection.h"
 #include "server/http.h"
 #include "server/metrics.h"
@@ -42,9 +41,14 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  AdmissionOptions admission;
+  /// Overload shedding, applied when a worker picks up a cache-missing
+  /// /query: the query is answered 429 when more than `queue_capacity`
+  /// requests are still waiting in the worker pool, or when it waited
+  /// there longer than `queue_timeout` (by then the client's own deadline
+  /// has typically passed anyway). Cache hits and /update are never shed.
+  size_t queue_capacity = 64;
+  std::chrono::milliseconds queue_timeout{2000};
   size_t cache_entries = 256;
-  size_t cache_bytes = 64 * 1024 * 1024;
   /// Deadline applied to queries that do not send X-Galaxy-Timeout-Ms;
   /// zero = unbounded.
   std::chrono::milliseconds default_timeout{0};
@@ -54,12 +58,10 @@ struct ServerOptions {
   /// slowloris client cannot pin a connection past one window.
   std::chrono::milliseconds idle_timeout{10000};
   /// Query-execution worker threads (the reactor itself never executes
-  /// queries).
+  /// queries), and so the bound on queries executing at once.
   size_t io_workers = 4;
   /// Prefer epoll over the portable poll(2) backend.
   bool use_epoll = true;
-  /// Per-connection output-buffer backpressure threshold.
-  size_t max_output_buffer = 1 << 20;
   /// With durability attached: rotate to a fresh snapshot + WAL after this
   /// many logged updates (inline, on the update that crosses the
   /// threshold). 0 = never snapshot automatically.
@@ -67,7 +69,7 @@ struct ServerOptions {
 };
 
 /// The serving layer: a minimal dependency-free HTTP/1.1 front end over a
-/// sql::Database, with admission control, a version-validated result
+/// sql::Database, with overload shedding, a version-validated result
 /// cache, and a Prometheus metrics endpoint.
 ///
 /// Endpoints (see README "Serving" for the full contract):
@@ -93,8 +95,10 @@ struct ServerOptions {
 /// small WorkerPool, and responses come back to the loop through a wakeup
 /// pipe to be written with EPOLLOUT-driven buffering and per-connection
 /// backpressure. Open connections therefore cost a few KB, not a thread.
-/// Admission control (server/admission.h) still bounds concurrent query
-/// execution.
+/// The WorkerPool is the only request queue: `io_workers` bounds how many
+/// queries execute at once, and ServerOptions::queue_capacity /
+/// queue_timeout bound how long a cache-missing query may have queued
+/// before it is shed with 429.
 ///
 /// The Database outlives the server and may also be read/updated directly
 /// by the embedding process (it is internally synchronized).
@@ -187,7 +191,6 @@ class Server {
   const ServerOptions options_;
 
   MetricsRegistry metrics_;
-  AdmissionController admission_;
   ResultCache cache_;
   const std::chrono::steady_clock::time_point start_time_;
 

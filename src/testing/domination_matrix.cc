@@ -1,4 +1,4 @@
-#include "core/domination_matrix.h"
+#include "testing/domination_matrix.h"
 
 #include <utility>
 

@@ -15,8 +15,9 @@ namespace galaxy::core {
 /// groups R and S, entry (i, j) is 1 iff record r_i dominates record s_j.
 /// pos() — the fraction of non-zero entries — equals p(R ≻ S), and the
 /// Boolean matrix product of the R-S and S-T matrices is a valid domination
-/// matrix witness for R-T (record dominance is transitive). Exposed mainly
-/// for tests and the theory examples (Figures 6 and 7).
+/// matrix witness for R-T (record dominance is transitive). Test-only:
+/// the Figure 6 and 7 checks and the theory tests build it; no served or
+/// library path does.
 class DominationMatrix {
  public:
   /// An `rows` x `cols` zero matrix.

@@ -1,4 +1,4 @@
-#include "server/http_fuzz.h"
+#include "testing/http_fuzz.h"
 
 #include <algorithm>
 #include <cstdio>

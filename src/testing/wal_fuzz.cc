@@ -1,4 +1,4 @@
-#include "storage/wal_fuzz.h"
+#include "testing/wal_fuzz.h"
 
 #include <cstdio>
 #include <string_view>

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/domination_matrix.h"
+#include "testing/domination_matrix.h"
 #include "core/gamma.h"
 #include "galaxy.h"  // umbrella header must compile and interoperate
 

@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 #include "core/aggregate_skyline.h"
-#include "core/domination_matrix.h"
+#include "testing/domination_matrix.h"
 #include "core/gamma.h"
 #include "skyline/skyline.h"
 

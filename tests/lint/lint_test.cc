@@ -165,6 +165,21 @@ TEST(LintRules, IostreamBannedInCoreOnly) {
   EXPECT_EQ(CountRule(diags, "iostream-core"), 0u);
 }
 
+TEST(LintRules, FuzzDriversOnlyInSrcTesting) {
+  for (const char* path :
+       {"src/server/http_fuzz.cc", "src/storage/wal_fuzz.h"}) {
+    auto diags = LintFixture("misplaced_fuzz_bad.cc", path);
+    EXPECT_EQ(CountRule(diags, "fuzz-outside-testing"), 1u) << path;
+  }
+  for (const char* path :
+       {"src/testing/http_fuzz.cc", "src/testing/wal_fuzz.h",
+        "tests/sql/parser_fuzz_test.cc", "tools/galaxy_fuzz.cpp",
+        "src/sql/fuzzy_match.cc"}) {
+    auto diags = LintFixture("misplaced_fuzz_bad.cc", path);
+    EXPECT_EQ(CountRule(diags, "fuzz-outside-testing"), 0u) << path;
+  }
+}
+
 // ---- suppressions ---------------------------------------------------------
 
 TEST(LintSuppressions, SameLineAndPrecedingCommentBlock) {
@@ -216,7 +231,7 @@ TEST(LintLexer, DiagnosticFormat) {
 
 TEST(LintApi, RuleNamesStable) {
   auto names = RuleNames();
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 11u);
 }
 
 }  // namespace

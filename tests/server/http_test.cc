@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "server/http_fuzz.h"
+#include "testing/http_fuzz.h"
 
 namespace galaxy::server {
 namespace {

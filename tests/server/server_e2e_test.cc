@@ -1,5 +1,5 @@
 // End-to-end serving-layer tests over real loopback sockets: round trips,
-// admission-control rejection, deterministic graceful degradation (206),
+// overload shedding (429), deterministic graceful degradation (206),
 // result-cache hits and their invalidation by /update, the incremental
 // skyline view, the metrics endpoint, and the idle/slowloris guard — all
 // against the event-driven engine (the only serving model).
@@ -113,6 +113,18 @@ Table GroupedTable(int groups, int per_group, uint64_t seed) {
   return Table(schema, std::move(rows));
 }
 
+// Value of an unlabeled counter in a /metrics body, or -1 when absent.
+long long CounterValue(const std::string& body, const std::string& name) {
+  const size_t at = body.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(body.substr(at + name.size() + 2));
+}
+
+// A distinct cache-missing query per index; each scans the table once.
+std::string CheapQuery(int i) {
+  return "SELECT count(*) FROM data WHERE a0 < 0." + std::to_string(10 + i);
+}
+
 class ServerE2eTest : public ::testing::Test {
  protected:
   void StartServer(Table table, ServerOptions options = {}) {
@@ -124,9 +136,76 @@ class ServerE2eTest : public ::testing::Test {
     ASSERT_NE(port_, 0);
   }
 
+  // Overload tests run on one worker. HoldWorker occupies it with a
+  // skyline over 100 groups of 1000 records at GAMMA 0.5 (seconds of work)
+  // under a one-second wall deadline, so requests sent while it runs queue
+  // in the worker pool for most of that second.
+  void StartOneWorker(ServerOptions options) {
+    options.io_workers = 1;
+    StartServer(GroupedTable(100, 1000, 4), options);
+  }
+
+  // Sends the holding query and returns once a worker executes it.
+  void HoldWorker() {
+    holder_ = std::thread([this] {
+      holder_status_ = Exchange(
+          port_, QueryRequest("SELECT class FROM data GROUP BY class "
+                              "SKYLINE OF a0 MAX, a1 MAX GAMMA 0.5",
+                              "X-Galaxy-Timeout-Ms: 1000\r\n"))
+                           .status;
+    });
+    WaitForMetric("galaxy_active_queries", 1);
+  }
+
+  // Sends `requests` on one connection each and returns once all of them
+  // wait in the worker pool; JoinAll then leaves their responses in
+  // queued_, in the same order.
+  void SendQueued(const std::vector<std::string>& requests) {
+    queued_.resize(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      clients_.emplace_back([this, request = requests[i], i] {
+        queued_[i] = Exchange(port_, request);
+      });
+    }
+    WaitForMetric("galaxy_queue_depth",
+                  static_cast<long long>(requests.size()));
+  }
+
+  void JoinAll() {
+    for (std::thread& t : clients_) t.join();
+    clients_.clear();
+    if (holder_.joinable()) holder_.join();
+  }
+
+  // Scrapes /metrics in process: the one worker is busy.
+  long long Metric(const std::string& name) {
+    HttpRequest request;
+    request.method = "GET";
+    request.path = "/metrics";
+    return CounterValue(server_->Handle(request).body, name);
+  }
+
+  void WaitForMetric(const std::string& name, long long want) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (Metric(name) != want) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        ADD_FAILURE() << name << " never reached " << want;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  void TearDown() override { JoinAll(); }
+
   sql::Database db_;
   std::unique_ptr<Server> server_;
   uint16_t port_ = 0;
+  std::thread holder_;
+  int holder_status_ = 0;
+  std::vector<std::thread> clients_;
+  std::vector<ClientResponse> queued_;
 };
 
 TEST_F(ServerE2eTest, HealthzAndUnknownRoutes) {
@@ -176,33 +255,76 @@ TEST_F(ServerE2eTest, BadSqlIs400AndEmptyBodyIs400) {
 
 TEST_F(ServerE2eTest, OverloadReturns429) {
   ServerOptions options;
-  options.admission.max_concurrent = 1;
-  options.admission.queue_capacity = 0;
-  options.admission.queue_timeout = std::chrono::milliseconds(50);
-  StartServer(GroupedTable(40, 50, 4), options);
+  options.queue_capacity = 2;
+  options.queue_timeout = std::chrono::seconds(60);
+  StartOneWorker(options);
 
-  // A heavy skyline query holds the only slot; concurrent distinct
-  // queries (different SQL, so no cache collisions) must be rejected.
-  const std::string heavy =
-      "SELECT class FROM data GROUP BY class "
-      "SKYLINE OF a0 MAX, a1 MAX GAMMA 0.9";
+  HoldWorker();
+  std::vector<std::string> requests;
+  for (int c = 0; c < 5; ++c) requests.push_back(QueryRequest(CheapQuery(c)));
+  SendQueued(requests);
+  JoinAll();
 
-  std::atomic<int> ok{0}, rejected{0}, other{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 6; ++c) {
-    clients.emplace_back([&, c] {
-      // A distinct LIMIT per client defeats result-cache sharing.
-      ClientResponse r = Exchange(
-          port_, QueryRequest(heavy + " LIMIT " + std::to_string(40 + c)));
-      if (r.status == 200) ok.fetch_add(1);
-      else if (r.status == 429) rejected.fetch_add(1);
-      else other.fetch_add(1);
-    });
+  // FIFO pickup: the first two picked up still see more than two waiting.
+  int ok = 0, rejected = 0;
+  for (const ClientResponse& r : queued_) {
+    if (r.status == 429) {
+      ++rejected;
+      EXPECT_NE(r.headers.find("Retry-After: 1"), std::string::npos);
+      EXPECT_NE(r.body.find("ResourceExhausted"), std::string::npos);
+    } else {
+      EXPECT_EQ(r.status, 200) << r.body;
+      ++ok;
+    }
   }
-  for (std::thread& t : clients) t.join();
-  EXPECT_GE(ok.load(), 1);
-  EXPECT_GE(rejected.load(), 1);
-  EXPECT_EQ(other.load(), 0);
+  EXPECT_GE(rejected, 1);
+  EXPECT_EQ(ok + rejected, 5);
+  EXPECT_EQ(Metric("galaxy_admission_rejected_total"), rejected);
+  EXPECT_EQ(Metric("galaxy_active_queries"), 0);
+  EXPECT_EQ(Metric("galaxy_queue_depth"), 0);
+}
+
+TEST_F(ServerE2eTest, QueueTimeoutReturns429) {
+  ServerOptions options;
+  options.queue_timeout = std::chrono::milliseconds(50);
+  StartOneWorker(options);
+
+  HoldWorker();
+  SendQueued({QueryRequest(CheapQuery(0))});
+  // In-process callers bypass the worker pool and are always admitted.
+  HttpRequest in_process;
+  in_process.method = "POST";
+  in_process.path = "/query";
+  in_process.body = CheapQuery(1);
+  EXPECT_EQ(server_->Handle(in_process).status, 200);
+  JoinAll();
+
+  EXPECT_NE(holder_status_, 429);
+  EXPECT_EQ(queued_[0].status, 429) << queued_[0].body;
+  EXPECT_EQ(Metric("galaxy_admission_rejected_total"), 1);
+}
+
+TEST_F(ServerE2eTest, CacheHitIsNeverShed) {
+  ServerOptions options;
+  options.queue_capacity = 0;
+  options.queue_timeout = std::chrono::milliseconds(50);
+  StartOneWorker(options);
+  const std::string warm = QueryRequest(CheapQuery(0));
+  ASSERT_EQ(Exchange(port_, warm).status, 200);
+
+  HoldWorker();
+  SendQueued({warm, QueryRequest(CheapQuery(1)), warm});
+  JoinAll();
+
+  // Both copies of the warmed query waited far past queue_timeout behind
+  // a full queue and are still served; the miss between them is shed.
+  for (size_t i : {0u, 2u}) {
+    EXPECT_EQ(queued_[i].status, 200) << queued_[i].body;
+    EXPECT_NE(queued_[i].headers.find("X-Galaxy-Cache: hit"),
+              std::string::npos);
+  }
+  EXPECT_EQ(queued_[1].status, 429);
+  EXPECT_EQ(Metric("galaxy_admission_rejected_total"), 1);
 }
 
 TEST_F(ServerE2eTest, ComparisonBudgetDegradesTo206) {
@@ -384,13 +506,6 @@ TEST_F(ServerE2eTest, MetricsEndpointReportsServingCounters) {
         "galaxy_skyline_record_comparisons_total"}) {
     EXPECT_NE(metrics.body.find(needle), std::string::npos) << needle;
   }
-}
-
-// Value of an unlabeled counter in a /metrics body, or -1 when absent.
-long long CounterValue(const std::string& body, const std::string& name) {
-  const size_t at = body.find("\n" + name + " ");
-  if (at == std::string::npos) return -1;
-  return std::stoll(body.substr(at + name.size() + 2));
 }
 
 TEST_F(ServerE2eTest, MetricsExposeIndexedSkylinePruning) {

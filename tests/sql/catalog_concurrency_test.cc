@@ -84,6 +84,9 @@ TEST(CatalogConcurrencyTest, ReadersNeverSeeTornState) {
   }
 
   std::thread writer([&] {
+    // Start writing only once a reader runs, so the reads overlap the
+    // writes even when the machine is too loaded to schedule readers early.
+    while (reads.load() == 0 && !failed.load()) std::this_thread::yield();
     for (int64_t i = 1; i <= 200; ++i) {
       db.Register("t", OneCellTable(i));
       std::this_thread::yield();

@@ -2,20 +2,22 @@
 # End-to-end checks of galaxy_cli error handling: unknown flags, malformed
 # numbers, out-of-range gamma, and missing input files must produce a
 # one-line diagnostic on stderr and a non-zero exit; bounded runs must
-# report their result quality. galaxy_crashtest, galaxy_bench_client and
-# galaxy_fuzz share galaxy_cli's flag parser and are checked for the same
-# usage errors. Invoked by ctest as:
+# report their result quality. galaxy_crashtest, galaxy_bench_client,
+# galaxy_fuzz and galaxy_served share galaxy_cli's flag parser and are
+# checked for the same usage errors. Invoked by ctest as:
 #
 #   cli_errors_test.sh /path/to/galaxy_cli /path/to/galaxy_crashtest \
-#       /path/to/galaxy_bench_client /path/to/galaxy_fuzz
+#       /path/to/galaxy_bench_client /path/to/galaxy_fuzz \
+#       /path/to/galaxy_served
 
 set -u
 
-USAGE="usage: cli_errors_test.sh galaxy_cli galaxy_crashtest galaxy_bench_client galaxy_fuzz"
+USAGE="usage: cli_errors_test.sh galaxy_cli galaxy_crashtest galaxy_bench_client galaxy_fuzz galaxy_served"
 CLI="${1:?$USAGE}"
 CRASHTEST="${2:?$USAGE}"
 BENCH_CLIENT="${3:?$USAGE}"
 FUZZ="${4:?$USAGE}"
+SERVED="${5:?$USAGE}"
 TMPDIR_LOCAL="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_LOCAL"' EXIT
 
@@ -126,11 +128,30 @@ expect_fail 2 "unknown flag: --ramp-batch" --port 8080 --ramp-batch 64
 expect_fail 2 "--port expects an integer" --port 80x
 expect_fail 2 "--deadline-dist must be fixed|exp" --port 8080 \
   --deadline-dist uniform
+# Nothing listens on port 1: the run stops after the first ramp round with
+# a one-line diagnostic and exit 1, well before --duration-s runs out.
+start_ms="$(date +%s%3N)"
+expect_fail 1 "cannot connect to 127.0.0.1:1" --port 1 --duration-s 2 \
+  --connections 3
+elapsed_ms=$(( $(date +%s%3N) - start_ms ))
+if (( elapsed_ms >= 1000 )); then
+  echo "FAIL: unreachable --port 1 ran ${elapsed_ms} ms of --duration-s 2" >&2
+  failures=$((failures + 1))
+fi
+if [[ "$(wc -l < "$TMPDIR_LOCAL/stderr")" -ne 1 ]]; then
+  echo "FAIL: unreachable --port 1 printed more than one stderr line" >&2
+  failures=$((failures + 1))
+fi
 
 TOOL="$FUZZ"
 expect_fail 2 "--seed expects an integer, got: abc" --seed abc
 expect_fail 2 "unknown flag: --run" --run 5
 expect_fail 2 "unknown --target: nope" --target=nope
+
+TOOL="$SERVED"
+expect_fail 2 "unknown flag: --max-concurrent" --csv "$CSV" --max-concurrent 4
+expect_fail 2 "must be non-negative" --csv "$CSV" --queue-timeout-ms -1
+expect_fail 2 "must be non-negative" --csv "$CSV" --queue-capacity -1
 
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures failure(s)" >&2

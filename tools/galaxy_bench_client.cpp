@@ -19,7 +19,9 @@
 // byte to last response byte, and sends the next request at once. A
 // connection the server closes reconnects. Connects start at most
 // kRampBatch at a time, so the SYN burst of a large ramp stays inside the
-// server's listen backlog.
+// server's listen backlog. If every connect of that first ramp round fails
+// before any connection is established, the server is unreachable: the run
+// stops at once instead of reconnecting until the time is up.
 //
 // The run ends once --requests requests were issued and the ones in
 // flight have drained, or, with --duration-s, at that wall time. Each
@@ -38,7 +40,7 @@
 // accepts.
 //
 // Exit status: 0 when every request got an HTTP response (any status),
-// 1 on transport errors, 2 on usage errors.
+// 1 on transport errors or an unreachable server, 2 on usage errors.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -54,6 +56,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <random>
@@ -91,6 +94,9 @@ struct RunResult {
   uint64_t transport_errors = 0;
   uint64_t cache_hits = 0;
   uint64_t degraded = 0;
+  /// errno of the failed connects when the first ramp round never
+  /// connected (the run stopped there); 0 otherwise.
+  int unreachable_errno = 0;
 };
 
 std::string QueryRequest(const BenchConfig& config, int64_t deadline_ms) {
@@ -190,11 +196,20 @@ class LoadGenerator {
         if (connecting >= kRampBatch || !BudgetLeft()) break;
         if (c.state != Conn::State::kIdle) continue;
         Issue(&c);
-        if (Connect(&c)) {
+        const int err = Connect(&c);
+        if (err == 0) {
           ++connecting;
         } else {
           ++result_.transport_errors;  // The issued request is lost.
+          ConnectFailed(err);
         }
+      }
+      // Every connect of the first ramp round failed and none ever
+      // succeeded: the server is unreachable, and retrying would spin.
+      if (!connected_ &&
+          connects_failed_ >= std::min(conns_.size(), kRampBatch)) {
+        result_.unreachable_errno = last_connect_errno_;
+        break;
       }
 
       pfds.clear();
@@ -245,20 +260,27 @@ class LoadGenerator {
   }
 
   // Starts a non-blocking connect; OnReady completes it on POLLOUT.
-  bool Connect(Conn* c) {
+  // Returns 0, or the errno of a connect that failed at once.
+  int Connect(Conn* c) {
     int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) return false;
+    if (fd < 0) return errno;
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr_),
                   sizeof(addr_)) != 0 &&
         errno != EINPROGRESS) {
+      const int err = errno;
       ::close(fd);
-      return false;
+      return err;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     c->fd = fd;
     c->state = Conn::State::kConnecting;
-    return true;
+    return 0;
+  }
+
+  void ConnectFailed(int err) {
+    ++connects_failed_;
+    last_connect_errno_ = err;
   }
 
   // The next ramp pass reconnects an idle connection.
@@ -278,12 +300,18 @@ class LoadGenerator {
     if (c->state == Conn::State::kConnecting) {
       int err = 0;
       socklen_t len = sizeof(err);
-      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 ||
-          ::getsockopt(c->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-          err != 0) {
+      if (::getsockopt(c->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+        err = errno;
+      }
+      if (err == 0 && (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        err = ECONNRESET;
+      }
+      if (err != 0) {
+        ConnectFailed(err);
         Fail(c);
         return;
       }
+      connected_ = true;
       c->state = Conn::State::kSending;
       c->sent_at = Clock::now();
     }
@@ -359,6 +387,9 @@ class LoadGenerator {
   std::mt19937_64 rng_;
   std::exponential_distribution<double> exp_dist_;
   int64_t issued_ = 0;
+  uint64_t connects_failed_ = 0;
+  int last_connect_errno_ = 0;
+  bool connected_ = false;
   RunResult result_;
 };
 
@@ -441,6 +472,13 @@ int main(int argc, char** argv) {
   RunResult result = LoadGenerator(config, addr).Run(
       start + std::chrono::seconds(std::max<int64_t>(*duration_s, 0)));
   double wall_s = std::chrono::duration<double>(Clock::now() - start).count();
+  if (result.unreachable_errno != 0) {
+    std::fprintf(stderr, "galaxy_bench_client: cannot connect to %s:%lld: %s\n",
+                 flags.Get("host", "127.0.0.1").c_str(),
+                 static_cast<long long>(*port),
+                 std::strerror(result.unreachable_errno));
+    return 1;
+  }
 
   std::vector<uint64_t>& latencies = result.latencies_us;
   std::sort(latencies.begin(), latencies.end());

@@ -6,7 +6,7 @@
 //                       [--gamma 0.5] [--algorithm NL|TR|SI|IN|LO|BF|AUTO]
 //                       (AUTO, the default, is the configuration
 //                       GROUP BY … SKYLINE OF serves: exact safe-mode IN)
-//                       [--rank] [--representatives K]
+//                       [--rank]
 //                       [--timeout-ms N] [--max-comparisons N] [--strict]
 //   galaxy_cli generate --type imdb|nba|grouped --out out.csv
 //                       [--records N] [--seed S]
@@ -29,7 +29,6 @@
 #include "common/str_util.h"
 #include "core/aggregate_skyline.h"
 #include "core/exec_context.h"
-#include "core/representative.h"
 #include "datagen/groups.h"
 #include "datagen/imdb_gen.h"
 #include "nba/nba_gen.h"
@@ -180,7 +179,7 @@ galaxy::Result<galaxy::core::GroupedDataset> BuildGrouping(
 
 int RunSkyline(Flags& flags) {
   if (!flags.CheckAllowed({"csv", "group-by", "attrs", "gamma", "algorithm",
-                           "rank", "representatives", "timeout-ms",
+                           "rank", "timeout-ms",
                            "max-comparisons", "strict"})) {
     return UsageError(flags.error());
   }
@@ -235,20 +234,6 @@ int RunSkyline(Flags& flags) {
       } else {
         std::printf("%-30s %.4f\n", rg.label.c_str(), rg.min_gamma);
       }
-    }
-  }
-  if (flags.Has("representatives")) {
-    auto k_flag = flags.GetInt("representatives", 3);
-    if (!k_flag.ok()) return UsageError(k_flag.status().message());
-    size_t k = static_cast<size_t>(*k_flag);
-    auto reps = galaxy::core::SelectRepresentatives(*dataset, k,
-                                                    options.gamma);
-    std::printf("\n# top-%zu representative skyline groups "
-                "(cover %zu of %zu dominated groups)\n",
-                k, reps.covered, reps.dominated_total);
-    for (const auto& rep : reps.representatives) {
-      std::printf("%-30s +%zu\n", dataset->group(rep.id).label().c_str(),
-                  rep.marginal_coverage);
     }
   }
   return 0;

@@ -35,8 +35,8 @@
 #include <string>
 
 #include "common/rng.h"
-#include "server/http_fuzz.h"
-#include "storage/wal_fuzz.h"
+#include "testing/http_fuzz.h"
+#include "testing/wal_fuzz.h"
 #include "testing/differential.h"
 #include "testing/fault_injection.h"
 #include "testing/oracle.h"

@@ -3,9 +3,8 @@
 //   galaxy_served --csv data.csv [--table data] [--host 127.0.0.1]
 //                 [--port 8080]
 //                 [--io-workers N] [--idle-timeout-ms N]
-//                 [--max-concurrent N] [--queue-capacity N]
-//                 [--queue-timeout-ms N] [--cache-entries N]
-//                 [--default-timeout-ms N]
+//                 [--queue-capacity N] [--queue-timeout-ms N]
+//                 [--cache-entries N] [--default-timeout-ms N]
 //                 [--view table:group_col:attrs[:gamma]]
 //                 [--data-dir DIR] [--fsync always|interval|never]
 //                 [--fsync-interval-ms N] [--snapshot-every N]
@@ -70,9 +69,8 @@ int Usage() {
       "usage: galaxy_served --csv data.csv [--table data]\n"
       "                     [--host 127.0.0.1] [--port 8080]\n"
       "                     [--io-workers N] [--idle-timeout-ms N]\n"
-      "                     [--max-concurrent N] [--queue-capacity N]\n"
-      "                     [--queue-timeout-ms N] [--cache-entries N]\n"
-      "                     [--default-timeout-ms N]\n"
+      "                     [--queue-capacity N] [--queue-timeout-ms N]\n"
+      "                     [--cache-entries N] [--default-timeout-ms N]\n"
       "                     [--view table:group_col:attrs[:gamma]]\n"
       "                     [--data-dir DIR] "
       "[--fsync always|interval|never]\n"
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv, 1);
   if (!flags.ok() ||
       !flags.CheckAllowed({"csv", "table", "host", "port",
-                           "io-workers", "idle-timeout-ms", "max-concurrent",
+                           "io-workers", "idle-timeout-ms",
                            "queue-capacity", "queue-timeout-ms",
                            "cache-entries", "default-timeout-ms", "view",
                            "data-dir", "fsync", "fsync-interval-ms",
@@ -159,7 +157,6 @@ int main(int argc, char** argv) {
       static_cast<int64_t>(hw == 0 ? 4 : (hw < 4 ? hw : 4));
   auto io_workers = flags.GetInt("io-workers", default_workers);
   auto idle_timeout = flags.GetInt("idle-timeout-ms", 10000);
-  auto max_concurrent = flags.GetInt("max-concurrent", 4);
   auto queue_capacity = flags.GetInt("queue-capacity", 64);
   auto queue_timeout = flags.GetInt("queue-timeout-ms", 2000);
   auto cache_entries = flags.GetInt("cache-entries", 256);
@@ -167,9 +164,8 @@ int main(int argc, char** argv) {
   auto fsync_interval = flags.GetInt("fsync-interval-ms", 100);
   auto snapshot_every = flags.GetInt("snapshot-every", 0);
   for (const auto* v :
-       {&port, &io_workers, &idle_timeout, &max_concurrent, &queue_capacity,
-        &queue_timeout, &cache_entries, &default_timeout, &fsync_interval,
-        &snapshot_every}) {
+       {&port, &io_workers, &idle_timeout, &queue_capacity, &queue_timeout,
+        &cache_entries, &default_timeout, &fsync_interval, &snapshot_every}) {
     if (!v->ok()) {
       std::fprintf(stderr, "galaxy_served: %s\n",
                    v->status().message().c_str());
@@ -186,10 +182,12 @@ int main(int argc, char** argv) {
                  "positive\n");
     return 2;
   }
-  if (*fsync_interval < 0 || *snapshot_every < 0) {
+  if (*queue_capacity < 0 || *queue_timeout < 0 || *cache_entries < 0 ||
+      *default_timeout < 0 || *fsync_interval < 0 || *snapshot_every < 0) {
     std::fprintf(stderr,
-                 "galaxy_served: --fsync-interval-ms/--snapshot-every must "
-                 "be non-negative\n");
+                 "galaxy_served: --queue-capacity/--queue-timeout-ms/"
+                 "--cache-entries/--default-timeout-ms/--fsync-interval-ms/"
+                 "--snapshot-every must be non-negative\n");
     return 2;
   }
   galaxy::storage::DurabilityOptions durability_options;
@@ -215,9 +213,8 @@ int main(int argc, char** argv) {
   options.port = static_cast<uint16_t>(*port);
   options.io_workers = static_cast<size_t>(*io_workers);
   options.idle_timeout = std::chrono::milliseconds(*idle_timeout);
-  options.admission.max_concurrent = static_cast<size_t>(*max_concurrent);
-  options.admission.queue_capacity = static_cast<size_t>(*queue_capacity);
-  options.admission.queue_timeout = std::chrono::milliseconds(*queue_timeout);
+  options.queue_capacity = static_cast<size_t>(*queue_capacity);
+  options.queue_timeout = std::chrono::milliseconds(*queue_timeout);
   options.cache_entries = static_cast<size_t>(*cache_entries);
   options.default_timeout = std::chrono::milliseconds(*default_timeout);
   options.snapshot_every = static_cast<uint64_t>(*snapshot_every);

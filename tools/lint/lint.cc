@@ -326,6 +326,8 @@ struct PathInfo {
   bool is_mutex_wrapper = false;
   bool is_event_loop = false;
   bool is_header = false;
+  bool in_src = false;      ///< under a src/ directory
+  bool in_testing = false;  ///< under src/testing/
 };
 
 PathInfo ClassifyPath(const std::string& path) {
@@ -345,6 +347,9 @@ PathInfo ClassifyPath(const std::string& path) {
   info.is_mutex_wrapper = p.find("common/mutex.h") != std::string::npos;
   info.is_event_loop = p.find("src/server/event_loop.") != std::string::npos;
   info.is_header = p.size() >= 2 && p.compare(p.size() - 2, 2, ".h") == 0;
+  info.in_src = p.compare(0, 4, "src/") == 0 ||
+                p.find("/src/") != std::string::npos;
+  info.in_testing = p.find("src/testing/") != std::string::npos;
   return info;
 }
 
@@ -371,6 +376,7 @@ class Linter {
     StatusConsumed();
     PragmaOnce();
     IostreamCore();
+    FuzzOutsideTesting();
     BudgetCharge();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
@@ -743,6 +749,17 @@ class Linter {
     }
   }
 
+  // ---- fuzz-outside-testing ---------------------------------------------
+  // Fuzz drivers are test code: under src/ they belong in src/testing/
+  // (the galaxy_testing library), not in the libraries the server links.
+  void FuzzOutsideTesting() {
+    if (!info_.in_src || info_.in_testing) return;
+    if (info_.basename.find("_fuzz.") == std::string::npos) return;
+    Report(1, "fuzz-outside-testing",
+           "fuzz driver " + info_.basename +
+               " in a production library; move it to src/testing/");
+  }
+
   // ---- budget-charge ----------------------------------------------------
   // In the dominance-counting translation units, any function that runs
   // nested (record-pair) loops must show evidence of charging the
@@ -896,7 +913,7 @@ std::vector<std::string> RuleNames() {
   return {"raw-mutex",          "budget-charge",    "banned-call",
           "raw-file-io",        "blocking-socket-io", "row-major-access",
           "naked-new",          "status-consumed",  "pragma-once",
-          "iostream-core"};
+          "iostream-core",      "fuzz-outside-testing"};
 }
 
 }  // namespace galaxy::lint

@@ -38,6 +38,10 @@
 ///                    declared in the same file and drops the result.
 ///   pragma-once      a header without `#pragma once`.
 ///   iostream-core    `#include <iostream>` inside src/core/.
+///   fuzz-outside-testing
+///                    a `*_fuzz.*` file under src/ outside src/testing/ —
+///                    fuzz drivers are test code, not production library
+///                    code.
 ///
 /// Suppressions: `// galaxy-lint: allow(rule)` on the offending line or in
 /// the comment block directly above it; `// galaxy-lint: allow-file(rule)`
