@@ -1,7 +1,9 @@
 #include "core/incremental.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
-#include "skyline/dominance.h"
+#include "core/count_kernel.h"
 
 namespace galaxy::core {
 
@@ -13,6 +15,36 @@ IncrementalAggregateSkyline::IncrementalAggregateSkyline(size_t dims,
   GALAXY_CHECK_LE(gamma, 1.0);
 }
 
+IncrementalAggregateSkyline IncrementalAggregateSkyline::FromDataset(
+    const GroupedDataset& dataset, double gamma) {
+  IncrementalAggregateSkyline view(dataset.dims(), gamma);
+  const size_t n = dataset.num_groups();
+  view.groups_.reserve(n);
+  for (const Group& group : dataset.groups()) {
+    view.groups_.push_back({group.label(), group.data(), group.size(), 0});
+    view.total_records_ += group.size();
+  }
+  view.counts_.assign(n * n, 0);
+  for (uint32_t s = 0; s < n; ++s) {
+    const GroupState& gs = view.groups_[s];
+    // One-time seeding before the view is published: O(Σ |g_i||g_j| · d),
+    // bounded by the seeded table, and the counts must be complete before
+    // any reader sees them.
+    // galaxy-analyze: allow(budget-reach)
+    for (uint32_t r = s + 1; r < n; ++r) {
+      const GroupState& gr = view.groups_[r];
+      kernel::KernelCounts c = kernel::CountBlock(
+          gs.rows.data(), gs.size, gr.rows.data(), gr.size, view.dims_);
+      view.CountRef(s, r) = c.n12;
+      view.CountRef(r, s) = c.n21;
+      const uint64_t total = static_cast<uint64_t>(gs.size) * gr.size;
+      if (view.GammaDominates(c.n12, total)) ++view.groups_[r].dominators;
+      if (view.GammaDominates(c.n21, total)) ++view.groups_[s].dominators;
+    }
+  }
+  return view;
+}
+
 uint32_t IncrementalAggregateSkyline::AddGroup(std::string label) {
   size_t old_n = groups_.size();
   size_t new_n = old_n + 1;
@@ -20,15 +52,16 @@ uint32_t IncrementalAggregateSkyline::AddGroup(std::string label) {
   std::vector<uint64_t> grown(new_n * new_n, 0);
   for (size_t s = 0; s < old_n; ++s) {
     // The re-layout must run to completion or the count matrix is torn;
-    // it is O(groups^2) state maintenance bounded by the live group count
-    // and governed by update admission control, not a query budget.
+    // it is O(groups²) state maintenance outside the query budget plane:
+    // the server drains deltas under its view mutex, and each connection
+    // has at most one /update in flight.
     // galaxy-analyze: allow(budget-reach)
     for (size_t r = 0; r < old_n; ++r) {
       grown[s * new_n + r] = counts_[s * old_n + r];
     }
   }
   counts_ = std::move(grown);
-  groups_.push_back({std::move(label), {}});
+  groups_.push_back({std::move(label), {}, 0, 0});
   return static_cast<uint32_t>(old_n);
 }
 
@@ -40,6 +73,57 @@ uint64_t IncrementalAggregateSkyline::CountAt(uint32_t s, uint32_t r) const {
   return counts_[static_cast<size_t>(s) * groups_.size() + r];
 }
 
+bool IncrementalAggregateSkyline::GammaDominates(uint64_t count,
+                                                 uint64_t total) const {
+  if (total == 0) return false;
+  return count == total ||
+         static_cast<double>(count) > gamma_ * static_cast<double>(total);
+}
+
+namespace {
+
+void AdjustDominators(uint32_t* dominators, bool before, bool after) {
+  if (after && !before) ++*dominators;
+  if (before && !after) --*dominators;
+}
+
+}  // namespace
+
+void IncrementalAggregateSkyline::ApplyDelta(uint32_t group,
+                                             const double* record,
+                                             bool insert) {
+  GroupState& g = groups_[group];
+  const uint64_t old_size = g.size;
+  const uint64_t new_size = insert ? old_size + 1 : old_size - 1;
+  // Count maintenance must apply atomically: aborting mid-scan would leave
+  // the count matrix inconsistent with the stored records. One pass is
+  // O(total_records · d), outside the query budget plane: the server
+  // drains deltas under its view mutex, and each connection has at most
+  // one /update in flight.
+  for (uint32_t h = 0; h < groups_.size(); ++h) {
+    GroupState& other = groups_[h];
+    if (h == group || other.size == 0) continue;
+    uint64_t& count_gh = CountRef(group, h);
+    uint64_t& count_hg = CountRef(h, group);
+    const bool g_dominated_h = GammaDominates(count_gh, old_size * other.size);
+    const bool h_dominated_g = GammaDominates(count_hg, old_size * other.size);
+    kernel::KernelCounts c = kernel::CountBlock(
+        record, 1, other.rows.data(), other.size, dims_);
+    if (insert) {
+      count_gh += c.n12;
+      count_hg += c.n21;
+    } else {
+      count_gh -= c.n12;
+      count_hg -= c.n21;
+    }
+    AdjustDominators(&other.dominators, g_dominated_h,
+                     GammaDominates(count_gh, new_size * other.size));
+    AdjustDominators(&g.dominators, h_dominated_g,
+                     GammaDominates(count_hg, new_size * other.size));
+  }
+  g.size = new_size;
+}
+
 Status IncrementalAggregateSkyline::AddRecord(uint32_t group,
                                               const Point& record) {
   if (!ValidGroup(group)) {
@@ -48,19 +132,9 @@ Status IncrementalAggregateSkyline::AddRecord(uint32_t group,
   if (record.size() != dims_) {
     return Status::InvalidArgument("record dimensionality mismatch");
   }
-  for (uint32_t h = 0; h < groups_.size(); ++h) {
-    if (h == group) continue;
-    // Count maintenance must apply atomically: aborting mid-scan would
-    // leave the domination-count matrix inconsistent with the stored
-    // records. Cost is O(live records) per delta, bounded by update
-    // admission control — deltas run outside the query budget plane.
-    // galaxy-analyze: allow(budget-reach)
-    for (const Point& other : groups_[h].records) {
-      if (skyline::Dominates(record, other)) ++CountRef(group, h);
-      if (skyline::Dominates(other, record)) ++CountRef(h, group);
-    }
-  }
-  groups_[group].records.push_back(record);
+  ApplyDelta(group, record.data(), /*insert=*/true);
+  std::vector<double>& rows = groups_[group].rows;
+  rows.insert(rows.end(), record.begin(), record.end());
   ++total_records_;
   return Status::OK();
 }
@@ -70,28 +144,25 @@ Status IncrementalAggregateSkyline::RemoveRecord(uint32_t group,
   if (!ValidGroup(group)) {
     return Status::InvalidArgument("unknown group id");
   }
-  std::vector<Point>& records = groups_[group].records;
-  size_t index = records.size();
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (records[i] == record) {
-      index = i;
-      break;
+  GroupState& g = groups_[group];
+  size_t index = g.size;
+  if (record.size() == dims_) {
+    for (size_t i = 0; i < g.size; ++i) {
+      const double* row = g.rows.data() + i * dims_;
+      if (std::equal(record.begin(), record.end(), row)) {
+        index = i;
+        break;
+      }
     }
   }
-  if (index == records.size()) {
+  if (index == g.size) {
     return Status::NotFound("record not present in group");
   }
-  for (uint32_t h = 0; h < groups_.size(); ++h) {
-    if (h == group) continue;
-    // Same atomicity argument as AddRecord: the decrement scan must
-    // complete or the count matrix no longer matches the stored records.
-    // galaxy-analyze: allow(budget-reach)
-    for (const Point& other : groups_[h].records) {
-      if (skyline::Dominates(record, other)) --CountRef(group, h);
-      if (skyline::Dominates(other, record)) --CountRef(h, group);
-    }
-  }
-  records.erase(records.begin() + static_cast<long>(index));
+  ApplyDelta(group, record.data(), /*insert=*/false);
+  // Swap-erase: the last row takes the removed row's slot.
+  std::copy_n(g.rows.end() - static_cast<ptrdiff_t>(dims_), dims_,
+              g.rows.begin() + static_cast<ptrdiff_t>(index * dims_));
+  g.rows.resize(g.rows.size() - dims_);
   --total_records_;
   return Status::OK();
 }
@@ -107,8 +178,7 @@ Result<uint64_t> IncrementalAggregateSkyline::DominationCount(
 Result<double> IncrementalAggregateSkyline::DominationProbability(
     uint32_t s, uint32_t r) const {
   GALAXY_ASSIGN_OR_RETURN(uint64_t count, DominationCount(s, r));
-  uint64_t total = static_cast<uint64_t>(groups_[s].records.size()) *
-                   groups_[r].records.size();
+  uint64_t total = static_cast<uint64_t>(groups_[s].size) * groups_[r].size;
   if (total == 0) {
     return Status::InvalidArgument("both groups must be non-empty");
   }
@@ -117,28 +187,16 @@ Result<double> IncrementalAggregateSkyline::DominationProbability(
 
 Result<bool> IncrementalAggregateSkyline::IsDominated(uint32_t r) const {
   if (!ValidGroup(r)) return Status::InvalidArgument("unknown group id");
-  if (groups_[r].records.empty()) {
+  if (groups_[r].size == 0) {
     return Status::InvalidArgument("group is empty");
   }
-  uint64_t nr = groups_[r].records.size();
-  for (uint32_t s = 0; s < groups_.size(); ++s) {
-    if (s == r || groups_[s].records.empty()) continue;
-    uint64_t total = groups_[s].records.size() * nr;
-    uint64_t count = CountAt(s, r);
-    if (count == total ||
-        static_cast<double>(count) > gamma_ * static_cast<double>(total)) {
-      return true;
-    }
-  }
-  return false;
+  return groups_[r].dominators > 0;
 }
 
 std::vector<uint32_t> IncrementalAggregateSkyline::Skyline() const {
   std::vector<uint32_t> out;
   for (uint32_t r = 0; r < groups_.size(); ++r) {
-    if (groups_[r].records.empty()) continue;
-    Result<bool> dominated = IsDominated(r);
-    if (dominated.ok() && !*dominated) out.push_back(r);
+    if (groups_[r].size > 0 && groups_[r].dominators == 0) out.push_back(r);
   }
   return out;
 }

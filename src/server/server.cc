@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/str_util.h"
+#include "core/group.h"
 #include "relation/csv.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
@@ -616,28 +617,6 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
   return response;
 }
 
-Status Server::ApplyToView(ViewState* view, const Table& table,
-                           const Row& row, bool insert) {
-  (void)table;
-  const Value& group_value = row[view->group_col];
-  const std::string label = group_value.ToString();
-  Point point(view->attr_cols.size());
-  for (size_t a = 0; a < view->attr_cols.size(); ++a) {
-    const Value& cell = row[view->attr_cols[a]];
-    GALAXY_ASSIGN_OR_RETURN(double v, cell.ToDouble());
-    point[a] = v * view->signs[a];
-  }
-  auto it = view->group_ids.find(label);
-  if (it == view->group_ids.end()) {
-    if (!insert) {
-      return Status::NotFound("no group " + label + " in the skyline view");
-    }
-    it = view->group_ids.emplace(label, view->inc.AddGroup(label)).first;
-  }
-  if (insert) return view->inc.AddRecord(it->second, point);
-  return view->inc.RemoveRecord(it->second, point);
-}
-
 Result<Server::PendingDelta> Server::ValidateViewDelta(const ViewState& view,
                                                        const Row& row,
                                                        bool insert) {
@@ -702,26 +681,40 @@ Status Server::EnableSkylineView(const SkylineViewConfig& config) {
                           db_->GetTable(config.table));
   const Table& table = *snapshot;
 
-  auto view = std::make_unique<ViewState>(ViewState{
-      config, core::IncrementalAggregateSkyline(config.attrs.size(),
-                                                config.gamma),
-      {}, 0, {}, {}});
-  view->config.table = AsciiLower(config.table);
-  GALAXY_ASSIGN_OR_RETURN(view->group_col,
+  GALAXY_ASSIGN_OR_RETURN(size_t group_col,
                           table.schema().IndexOf(config.group_column));
+  std::vector<std::string> attr_names;
+  skyline::PreferenceList prefs;
+  std::vector<size_t> attr_cols;
+  std::vector<double> signs;
   for (const std::string& raw : config.attrs) {
     const bool minimize = !raw.empty() && raw[0] == '-';
-    const std::string name = minimize ? raw.substr(1) : raw;
-    GALAXY_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(name));
-    view->attr_cols.push_back(col);
-    view->signs.push_back(minimize ? -1.0 : 1.0);
+    attr_names.push_back(minimize ? raw.substr(1) : raw);
+    GALAXY_ASSIGN_OR_RETURN(size_t col,
+                            table.schema().IndexOf(attr_names.back()));
+    attr_cols.push_back(col);
+    prefs.push_back(minimize ? skyline::Preference::kMin
+                             : skyline::Preference::kMax);
+    signs.push_back(minimize ? -1.0 : 1.0);
   }
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    // One-time view seeding, not a query hot path: boxing each row keeps
-    // ApplyToView's row-shaped delta interface.
-    // galaxy-lint: allow(row-major-access)
-    GALAXY_RETURN_IF_ERROR(ApplyToView(view.get(), table, table.MaterializeRow(r),
-                                       /*insert=*/true));
+  // The seed dataset refuses NULL and non-numeric attributes, labels each
+  // group with its key's ToString() (as /update deltas are labelled) and
+  // lists groups in order of first occurrence; it is freed once the view
+  // has copied its buffers.
+  std::unique_ptr<ViewState> view;
+  {
+    GALAXY_ASSIGN_OR_RETURN(
+        core::GroupedDataset seed,
+        core::GroupedDataset::FromTable(table, {config.group_column},
+                                        attr_names, prefs));
+    view = std::make_unique<ViewState>(ViewState{
+        config,
+        core::IncrementalAggregateSkyline::FromDataset(seed, config.gamma),
+        {}, group_col, std::move(attr_cols), std::move(signs), {}});
+  }
+  view->config.table = AsciiLower(config.table);
+  for (uint32_t g = 0; g < view->inc.num_groups(); ++g) {
+    view->group_ids.emplace(view->inc.label(g), g);
   }
   common::MutexLock lock(&view_mutex_);
   view_ = std::move(view);

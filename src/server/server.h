@@ -122,7 +122,9 @@ class Server {
   uint16_t port() const { return port_; }
 
   /// Builds the incremental aggregate-skyline view from the table's
-  /// current contents; subsequent /update calls maintain it.
+  /// current contents in one bulk pass of block counting; subsequent
+  /// /update calls maintain it. A NULL or non-numeric attribute value
+  /// refuses the view and leaves any installed one in place.
   Status EnableSkylineView(const SkylineViewConfig& config)
       EXCLUDES(view_mutex_);
 
@@ -175,9 +177,6 @@ class Server {
   HttpResponse HandleSkyline() EXCLUDES(view_mutex_);
   HttpResponse HandleMetrics();
   void CountResponse(const HttpResponse& response);
-  /// Applies one parsed update row to the incremental view.
-  Status ApplyToView(ViewState* view, const Table& table, const Row& row,
-                     bool insert);
   /// Validates the row against the view (label extracted, attributes
   /// numeric) and builds the PendingDelta — without queueing it, so the
   /// caller can reject the update before anything durable happens.

@@ -1,7 +1,8 @@
 // /update's durability contract at the HTTP layer, exercised through the
 // Server::Handle seam (no sockets): ack-after-WAL ordering, 503 on a
-// poisoned log, the durability metrics scrape, and the coalesced (lazy)
-// incremental-view maintenance under update bursts.
+// poisoned log, the durability metrics scrape, the coalesced (lazy)
+// incremental-view maintenance under update bursts, and how
+// EnableSkylineView seeds the view from a table.
 
 #include <gtest/gtest.h>
 
@@ -276,6 +277,100 @@ TEST_F(DurabilityServerTest, RefusedInsertLeavesNoTraceInLaterVersions) {
             std::vector<std::string>({"g0,10", "g1,20", "g9,9"}));
   EXPECT_EQ(server_->Handle(Req("GET /skyline HTTP/1.1\r\n\r\n")).status,
             200);
+}
+
+// ---- view seeding ----------------------------------------------------------
+
+// A catalog holding table "t" of `schema`, one row per CSV line.
+std::unique_ptr<sql::Database> CatalogWith(
+    const Schema& schema, const std::vector<std::string>& rows) {
+  TableBuilder builder(schema);
+  for (const std::string& row : rows) {
+    auto parsed = galaxy::ParseCsvRowForSchema(schema, row);
+    EXPECT_TRUE(parsed.ok()) << row;
+    if (parsed.ok()) builder.AddRow(*std::move(parsed));
+  }
+  auto db = std::make_unique<sql::Database>();
+  db->Register("t", builder.Build());
+  return db;
+}
+
+std::string SkylineBody(Server* server) {
+  HttpResponse response = server->Handle(Req("GET /skyline HTTP/1.1\r\n\r\n"));
+  EXPECT_EQ(response.status, 200) << response.body;
+  return response.body;
+}
+
+TEST(ViewSeedingTest, RefusesNullOrStringAttributeAndInstallsNoView) {
+  std::unique_ptr<sql::Database> db =
+      CatalogWith(TestSchema(), {"a,1,1.5", "b,,2.5"});
+  Server server(db.get(), ServerOptions{});
+  SkylineViewConfig config;
+  config.table = "t";
+  config.group_column = "g";
+  config.attrs = {"x", "y"};
+  EXPECT_FALSE(server.EnableSkylineView(config).ok());  // NULL in x
+  EXPECT_EQ(server.Handle(Req("GET /skyline HTTP/1.1\r\n\r\n")).status,
+            404);
+
+  config.attrs = {"y", "g"};  // g is a STRING column
+  EXPECT_FALSE(server.EnableSkylineView(config).ok());
+  EXPECT_EQ(server.Handle(Req("GET /skyline HTTP/1.1\r\n\r\n")).status,
+            404);
+}
+
+TEST(ViewSeedingTest, Int64GroupColumnKeepsLabelsAndFirstOccurrenceOrder) {
+  const Schema schema({ColumnDef{"g", ValueType::kInt64},
+                       ColumnDef{"x", ValueType::kInt64},
+                       ColumnDef{"y", ValueType::kDouble}});
+  // p(7 ≻ 30) = 2/4 = γ: no group is dominated at γ = 0.5, so the skyline
+  // lists every group, by id, in order of first occurrence.
+  std::unique_ptr<sql::Database> db = CatalogWith(
+      schema, {"30,1,1.0", "7,2,2.0", "30,1,1.5", "12,3,0.5", "7,0,3.0"});
+  Server server(db.get(), ServerOptions{});
+  SkylineViewConfig config;
+  config.table = "t";
+  config.group_column = "g";
+  config.attrs = {"x", "y"};
+  ASSERT_TRUE(server.EnableSkylineView(config).ok());
+  std::string body = SkylineBody(&server);
+  EXPECT_NE(body.find("\"skyline\": [\"30\", \"7\", \"12\"]"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"num_groups\": 3"), std::string::npos) << body;
+
+  // An /update labels its row the same way, so it lands in the seeded
+  // group "7" (p(7 ≻ 30) rises to 4/6) instead of opening a fourth group.
+  const std::string row = "7,5,5.0";
+  ASSERT_EQ(server
+                .Handle(Req("POST /update?table=t&op=insert HTTP/1.1\r\n"
+                            "Content-Length: " +
+                            std::to_string(row.size()) + "\r\n\r\n" + row))
+                .status,
+            200);
+  body = SkylineBody(&server);
+  EXPECT_NE(body.find("\"skyline\": [\"7\", \"12\"]"), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"num_groups\": 3"), std::string::npos) << body;
+}
+
+TEST(ViewSeedingTest, MinimisedAttributeIsNegated) {
+  std::unique_ptr<sql::Database> db =
+      CatalogWith(TestSchema(), {"lo,1,1.0", "hi,2,2.0"});
+  Server server(db.get(), ServerOptions{});
+  SkylineViewConfig config;
+  config.table = "t";
+  config.group_column = "g";
+  config.attrs = {"-x", "-y"};
+  ASSERT_TRUE(server.EnableSkylineView(config).ok());
+  // Smaller is better on both attributes: "lo" dominates "hi".
+  std::string body = SkylineBody(&server);
+  EXPECT_NE(body.find("\"skyline\": [\"lo\"]"), std::string::npos) << body;
+
+  config.attrs = {"x", "y"};
+  ASSERT_TRUE(server.EnableSkylineView(config).ok());
+  body = SkylineBody(&server);
+  EXPECT_NE(body.find("\"skyline\": [\"hi\"]"), std::string::npos) << body;
 }
 
 }  // namespace

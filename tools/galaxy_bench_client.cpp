@@ -46,7 +46,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,6 +63,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fd_limit.h"
 #include "flags.h"
 
 namespace {
@@ -137,16 +137,6 @@ bool TryConsumeResponse(std::string* buffer, int* status, bool* cache_hit,
   *close_after = headers.find("Connection: close") != std::string_view::npos;
   buffer->erase(0, total);
   return true;
-}
-
-// Raises RLIMIT_NOFILE to the hard cap so 10k+ sockets fit. Best effort.
-void RaiseFdLimit() {
-  rlimit lim{};
-  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return;
-  if (lim.rlim_cur < lim.rlim_max) {
-    lim.rlim_cur = lim.rlim_max;
-    ::setrlimit(RLIMIT_NOFILE, &lim);
-  }
 }
 
 // One connection: kConnecting -> kSending -> kReading -> kSending ...
@@ -467,7 +457,7 @@ int main(int argc, char** argv) {
   config.update_every = *update_every;
   config.seed = static_cast<uint64_t>(*seed);
 
-  RaiseFdLimit();
+  galaxy::tools::RaiseFdLimit();
   auto start = Clock::now();
   RunResult result = LoadGenerator(config, addr).Run(
       start + std::chrono::seconds(std::max<int64_t>(*duration_s, 0)));

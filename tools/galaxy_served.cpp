@@ -25,8 +25,6 @@
 // Exit status: 0 on clean shutdown, 1 on runtime errors (bad CSV, port in
 // use), 2 on usage errors — the same contract as galaxy_cli.
 
-#include <sys/resource.h>
-
 #include <csignal>
 #include <cerrno>
 #include <cstdio>
@@ -44,6 +42,7 @@
 #include "storage/env.h"
 #include "storage/wal.h"
 
+#include "fd_limit.h"
 #include "flags.h"
 
 namespace {
@@ -51,17 +50,6 @@ namespace {
 using galaxy::Status;
 using galaxy::Table;
 using galaxy::tools::Flags;
-
-// Event mode holds one fd per open connection; at C10K the default soft
-// limit (often 1024) exhausts immediately, so raise it to the hard cap.
-void RaiseFdLimit() {
-  struct rlimit limit;
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  if (limit.rlim_cur < limit.rlim_max) {
-    limit.rlim_cur = limit.rlim_max;
-    ::setrlimit(RLIMIT_NOFILE, &limit);
-  }
-}
 
 int Usage() {
   std::fprintf(
@@ -206,7 +194,7 @@ int main(int argc, char** argv) {
   galaxy::sql::Database db;
   std::string table_name = flags.Get("table", "data");
 
-  RaiseFdLimit();
+  galaxy::tools::RaiseFdLimit();
 
   galaxy::server::ServerOptions options;
   options.host = flags.Get("host", "127.0.0.1");
