@@ -1,21 +1,18 @@
 #include "server/connection.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
 
-#include "common/logging.h"
-
 namespace galaxy::server {
 
-// Every socket the engine touches is non-blocking (set at accept), so the
-// recv/send calls below return EAGAIN instead of stalling the loop thread.
+// Every socket the engine touches is created non-blocking (the listen
+// socket by Server::Start, accepted ones by accept4), so the recv/send
+// calls below return EAGAIN instead of stalling the loop thread.
 // galaxy-lint: allow-file(blocking-socket-io)
 // galaxy-lint: allow-file(raw-file-io) -- ::close on sockets, not data files.
 
@@ -27,17 +24,6 @@ namespace {
 constexpr size_t kMaxOutputBuffer = 1 << 20;
 /// Input-side cap per connection (backstop over the parser's limits).
 constexpr size_t kMaxInputBuffer = kMaxHeaderBytes + kMaxBodyBytes + 4096;
-/// Timer-wheel resolution: idle deadlines fire within one tick.
-constexpr std::chrono::milliseconds kTimerTick{20};
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal("fcntl(O_NONBLOCK): " +
-                            std::string(::strerror(errno)));
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -166,7 +152,7 @@ void Connection::MaybeDispatch() {
       HttpResponse response =
           JsonErrorResponse(machine_.http_status(), machine_.error_status());
       response.close = true;
-      if (engine_->count_response_) engine_->count_response_(response);
+      engine_->count_response_(response);
       EnqueueResponse(SerializeResponse(response), /*close_after=*/true);
       return;  // EnqueueResponse may already have destroyed *this.
     }
@@ -209,13 +195,10 @@ void Connection::Flush() {
     output_offset_ = 0;
     if (stalled_) {
       stalled_ = false;
-      if (engine_->metrics_.read_stall_seconds != nullptr) {
-        auto stalled_for =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - stall_started_);
-        engine_->metrics_.read_stall_seconds->Observe(
-            static_cast<uint64_t>(stalled_for.count()));
-      }
+      auto stalled_for = std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - stall_started_);
+      engine_->metrics_.read_stall_seconds->Observe(
+          static_cast<uint64_t>(stalled_for.count()));
     }
     if (close_after_flush_) {
       engine_->CloseConnection(id_, /*idle_close=*/false);
@@ -251,15 +234,13 @@ void Connection::UpdateInterest() {
 
 // ---- EventEngine -----------------------------------------------------------
 
-EventEngine::EventEngine(size_t workers, bool use_epoll,
-                         std::chrono::milliseconds idle_timeout,
+EventEngine::EventEngine(size_t workers, std::chrono::milliseconds idle_timeout,
                          Handler handler, ResponseObserver count_response,
                          ConnectionMetrics metrics)
     : idle_timeout_(idle_timeout),
       handler_(std::move(handler)),
       count_response_(std::move(count_response)),
       metrics_(metrics),
-      loop_(EventLoop::Options{use_epoll, kTimerTick, 512}),
       workers_(workers),
       acceptor_(this) {}
 
@@ -268,7 +249,6 @@ EventEngine::~EventEngine() { Stop(); }
 Status EventEngine::Start(int listen_fd) {
   if (started_) return Status::InvalidArgument("engine already started");
   listen_fd_ = listen_fd;
-  GALAXY_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
   GALAXY_RETURN_IF_ERROR(loop_.Init());
   // The loop thread does not exist yet, so this thread is (vacuously) the
   // reactor: the pre-start registrations below are race-free.
@@ -304,9 +284,7 @@ void EventEngine::Stop() {
     (void)id;
     conn->closing_ = true;
     ::close(conn->fd());
-    if (metrics_.connections_open != nullptr) {
-      metrics_.connections_open->Add(-1);
-    }
+    metrics_.connections_open->Add(-1);
   }
   connections_.clear();
   listen_fd_ = -1;  // Owned (and closed) by the caller.
@@ -319,15 +297,10 @@ void EventEngine::Acceptor::OnReadable() {
 
 void EventEngine::AcceptReady() {
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // EAGAIN (drained) or fatal (e.g. EMFILE: retry next wakeup).
-    }
-    Status nb = SetNonBlocking(fd);
-    if (!nb.ok()) {
-      ::close(fd);
-      continue;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -340,8 +313,8 @@ void EventEngine::AcceptReady() {
       continue;
     }
     connections_.emplace(id, std::move(conn));
-    if (metrics_.connections_total != nullptr) metrics_.connections_total->Inc();
-    if (metrics_.connections_open != nullptr) metrics_.connections_open->Add(1);
+    metrics_.connections_total->Inc();
+    metrics_.connections_open->Add(1);
     TouchIdleDeadline(id);
   }
 }
@@ -385,10 +358,8 @@ void EventEngine::CloseConnection(uint64_t conn_id, bool idle_close) {
   loop_.RemoveFd(conn->fd());
   ::close(conn->fd());
   connections_.erase(it);
-  if (metrics_.connections_open != nullptr) metrics_.connections_open->Add(-1);
-  if (idle_close && metrics_.idle_closed != nullptr) {
-    metrics_.idle_closed->Inc();
-  }
+  metrics_.connections_open->Add(-1);
+  if (idle_close) metrics_.idle_closed->Inc();
 }
 
 void EventEngine::TouchIdleDeadline(uint64_t conn_id) {

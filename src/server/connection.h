@@ -61,8 +61,7 @@ class ConnectionMachine {
   int http_status_ = 400;
 };
 
-/// Connection-level metric handles (all optional; owned by the server's
-/// MetricsRegistry).
+/// Connection-level metric handles (owned by the server's MetricsRegistry).
 struct ConnectionMetrics {
   Gauge* connections_open = nullptr;
   Counter* connections_total = nullptr;
@@ -147,12 +146,12 @@ class EventEngine {
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
   /// Invoked (loop thread) for responses the engine originates itself —
   /// protocol errors the router never sees — so they still land in the
-  /// per-code response counters. May be null.
+  /// per-code response counters.
   using ResponseObserver = std::function<void(const HttpResponse&)>;
 
-  EventEngine(size_t workers, bool use_epoll,
-              std::chrono::milliseconds idle_timeout, Handler handler,
-              ResponseObserver count_response, ConnectionMetrics metrics);
+  EventEngine(size_t workers, std::chrono::milliseconds idle_timeout,
+              Handler handler, ResponseObserver count_response,
+              ConnectionMetrics metrics);
   ~EventEngine();
 
   EventEngine(const EventEngine&) = delete;
@@ -166,7 +165,6 @@ class EventEngine {
   /// calls, closes every connection. Idempotent.
   void Stop();
 
-  const char* poller_name() const { return loop_.poller_name(); }
   /// Requests handed to the worker pool and not yet picked up. Any thread.
   size_t waiting() const { return workers_.waiting(); }
 

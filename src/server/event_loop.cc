@@ -1,19 +1,15 @@
 #include "server/event_loop.h"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <utility>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -21,180 +17,82 @@ namespace galaxy::server {
 
 namespace {
 
-/// The wakeup pipe carries at most one pending byte; coalescing is handled
-/// by EventLoop::wakeup_pending_, so a short read/write here is harmless.
-// galaxy-lint: allow-file(raw-file-io) -- wakeup pipe + poller fds, not
+// galaxy-lint: allow-file(raw-file-io) -- wakeup eventfd + epoll fd, not
 // data files; durability's Env seam does not apply to kernel event fds.
 
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal("fcntl(O_NONBLOCK): " +
+/// Timer-wheel resolution: idle deadlines fire within one tick.
+constexpr std::chrono::milliseconds kTimerTick{20};
+/// Timer-wheel circumference in ticks (about ten seconds at kTimerTick).
+constexpr size_t kTimerSlots = 512;
+
+/// Level-triggered: the connection machine re-arms interest explicitly
+/// (EPOLLOUT only while the output buffer is non-empty).
+struct epoll_event EpollEvent(int fd, bool want_read, bool want_write) {
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.data.fd = fd;
+  if (want_read) ev.events |= EPOLLIN | EPOLLRDHUP;
+  if (want_write) ev.events |= EPOLLOUT;
+  return ev;
+}
+
+}  // namespace
+
+// ---- Poller ----------------------------------------------------------------
+
+Poller::~Poller() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
+Status Poller::Init() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) {
+    return Status::Internal("epoll_create1: " +
                             std::string(::strerror(errno)));
   }
   return Status::OK();
 }
 
-// ---- poll(2) backend -------------------------------------------------------
-
-class PollPoller final : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    if (index_.count(fd) != 0) {
-      return Status::AlreadyExists("poll: fd already registered");
-    }
-    struct pollfd p;
-    p.fd = fd;
-    p.events = Events(want_read, want_write);
-    p.revents = 0;
-    index_[fd] = fds_.size();
-    fds_.push_back(p);
-    return Status::OK();
+Status Poller::Add(int fd, bool want_read, bool want_write) {
+  struct epoll_event ev = EpollEvent(fd, want_read, want_write);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    return Status::Internal("epoll_ctl(ADD): " +
+                            std::string(::strerror(errno)));
   }
+  return Status::OK();
+}
 
-  Status Update(int fd, bool want_read, bool want_write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) {
-      return Status::NotFound("poll: fd not registered");
-    }
-    fds_[it->second].events = Events(want_read, want_write);
-    return Status::OK();
+Status Poller::Update(int fd, bool want_read, bool want_write) {
+  struct epoll_event ev = EpollEvent(fd, want_read, want_write);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
+    return Status::Internal("epoll_ctl(MOD): " +
+                            std::string(::strerror(errno)));
   }
+  return Status::OK();
+}
 
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    size_t pos = it->second;
-    size_t last = fds_.size() - 1;
-    if (pos != last) {
-      fds_[pos] = fds_[last];
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-    index_.erase(it);
+void Poller::Remove(int fd) {
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
+}
+
+Status Poller::Wait(int timeout_ms, std::vector<ReadyEvent>* out) {
+  struct epoll_event events[256];
+  int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return Status::OK();
+    return Status::Internal("epoll_wait: " + std::string(::strerror(errno)));
   }
-
-  Status Wait(int timeout_ms, std::vector<ReadyEvent>* out) override {
-    int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::OK();
-      return Status::Internal("poll: " + std::string(::strerror(errno)));
-    }
-    for (const struct pollfd& p : fds_) {
-      if (n == 0) break;
-      if (p.revents == 0) continue;
-      --n;
-      ReadyEvent ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & (POLLIN | POLLPRI)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out->push_back(ev);
-    }
-    return Status::OK();
+  for (int i = 0; i < n; ++i) {
+    ReadyEvent ev;
+    ev.fd = events[i].data.fd;
+    ev.readable = (events[i].events & (EPOLLIN | EPOLLPRI)) != 0;
+    ev.writable = (events[i].events & EPOLLOUT) != 0;
+    ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
+    out->push_back(ev);
   }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Events(bool want_read, bool want_write) {
-    short e = 0;
-    if (want_read) e |= POLLIN;
-    if (want_write) e |= POLLOUT;
-    return e;
-  }
-
-  std::vector<struct pollfd> fds_;
-  std::map<int, size_t> index_;
-};
-
-// ---- epoll backend ---------------------------------------------------------
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    struct epoll_event ev = Event(fd, want_read, want_write);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      return Status::Internal("epoll_ctl(ADD): " +
-                              std::string(::strerror(errno)));
-    }
-    return Status::OK();
-  }
-
-  Status Update(int fd, bool want_read, bool want_write) override {
-    struct epoll_event ev = Event(fd, want_read, want_write);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-      return Status::Internal("epoll_ctl(MOD): " +
-                              std::string(::strerror(errno)));
-    }
-    return Status::OK();
-  }
-
-  void Remove(int fd) override {
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  Status Wait(int timeout_ms, std::vector<ReadyEvent>* out) override {
-    struct epoll_event events[256];
-    int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::OK();
-      return Status::Internal("epoll_wait: " +
-                              std::string(::strerror(errno)));
-    }
-    for (int i = 0; i < n; ++i) {
-      ReadyEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLPRI)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
-      out->push_back(ev);
-    }
-    return Status::OK();
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  // Level-triggered: the connection machine re-arms interest explicitly
-  // (EPOLLOUT only while the output buffer is non-empty), which keeps the
-  // poll(2) backend behaviorally identical.
-  static struct epoll_event Event(int fd, bool want_read, bool want_write) {
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.data.fd = fd;
-    if (want_read) ev.events |= EPOLLIN | EPOLLRDHUP;
-    if (want_write) ev.events |= EPOLLOUT;
-    return ev;
-  }
-
-  int epfd_;
-};
-#endif  // __linux__
-
-}  // namespace
-
-std::unique_ptr<Poller> MakePoller(bool prefer_epoll) {
-#ifdef __linux__
-  if (prefer_epoll) {
-    auto ep = std::make_unique<EpollPoller>();
-    if (ep->valid()) return ep;
-    // epoll_create1 failed (fd exhaustion?); the poll(2) backend still works.
-  }
-#else
-  (void)prefer_epoll;
-#endif
-  return std::make_unique<PollPoller>();
+  return Status::OK();
 }
 
 // ---- TimerWheel ------------------------------------------------------------
@@ -351,27 +249,19 @@ void WorkerPool::WorkerMain() {
 
 // ---- EventLoop -------------------------------------------------------------
 
-EventLoop::EventLoop(const Options& options)
-    : options_(options), timers_(options.timer_tick, options.timer_slots) {}
+EventLoop::EventLoop() : timers_(kTimerTick, kTimerSlots) {}
 
 EventLoop::~EventLoop() {
-  if (wakeup_read_fd_ >= 0) ::close(wakeup_read_fd_);
-  if (wakeup_write_fd_ >= 0) ::close(wakeup_write_fd_);
+  if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
 }
 
 Status EventLoop::Init() {
-  poller_ = MakePoller(options_.use_epoll);
-  int fds[2];
-  if (::pipe(fds) < 0) {
-    return Status::Internal("pipe: " + std::string(::strerror(errno)));
+  GALAXY_RETURN_IF_ERROR(poller_.Init());
+  wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wakeup_fd_ < 0) {
+    return Status::Internal("eventfd: " + std::string(::strerror(errno)));
   }
-  wakeup_read_fd_ = fds[0];
-  wakeup_write_fd_ = fds[1];
-  Status s = SetNonBlocking(wakeup_read_fd_);
-  if (s.ok()) s = SetNonBlocking(wakeup_write_fd_);
-  if (!s.ok()) return s;
-  return poller_->Add(wakeup_read_fd_, /*want_read=*/true,
-                      /*want_write=*/false);
+  return poller_.Add(wakeup_fd_, /*want_read=*/true, /*want_write=*/false);
 }
 
 void EventLoop::Post(std::function<void()> fn) {
@@ -384,10 +274,11 @@ void EventLoop::Post(std::function<void()> fn) {
       need_wakeup = true;
     }
   }
-  if (need_wakeup && wakeup_write_fd_ >= 0) {
-    char b = 1;
-    // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-    ssize_t rc = ::write(wakeup_write_fd_, &b, 1);
+  if (need_wakeup && wakeup_fd_ >= 0) {
+    // wakeup_pending_ coalesces Posts into one write per loop iteration,
+    // so the counter never nears its EAGAIN ceiling (2^64 - 2).
+    const uint64_t one = 1;
+    ssize_t rc = ::write(wakeup_fd_, &one, sizeof(one));
     (void)rc;
   }
 }
@@ -398,10 +289,11 @@ void EventLoop::Stop() {
   Post([] {});
 }
 
-void EventLoop::DrainWakeupPipe() {
-  char buf[64];
-  while (::read(wakeup_read_fd_, buf, sizeof(buf)) > 0) {
-  }
+void EventLoop::DrainWakeup() {
+  // One read returns the counter and resets it to zero.
+  uint64_t count = 0;
+  ssize_t rc = ::read(wakeup_fd_, &count, sizeof(count));
+  (void)rc;
 }
 
 void EventLoop::RunPostedTasks() {
@@ -416,17 +308,17 @@ void EventLoop::RunPostedTasks() {
 
 Status EventLoop::AddFd(int fd, FdHandler* handler, bool want_read,
                         bool want_write) {
-  Status s = poller_->Add(fd, want_read, want_write);
+  Status s = poller_.Add(fd, want_read, want_write);
   if (s.ok()) handlers_[fd] = handler;
   return s;
 }
 
 Status EventLoop::UpdateFd(int fd, bool want_read, bool want_write) {
-  return poller_->Update(fd, want_read, want_write);
+  return poller_.Update(fd, want_read, want_write);
 }
 
 void EventLoop::RemoveFd(int fd) {
-  poller_->Remove(fd);
+  poller_.Remove(fd);
   handlers_.erase(fd);
 }
 
@@ -441,28 +333,24 @@ void EventLoop::SetTimerCallback(std::function<void(uint64_t)> cb) {
   timer_callback_ = std::move(cb);
 }
 
-const char* EventLoop::poller_name() const {
-  return poller_ ? poller_->name() : "none";
-}
-
 void EventLoop::Run() {
   // Run's thread IS the reactor thread for the rest of this function.
   ClaimLoopThreadRole();
-  GALAXY_CHECK(poller_ != nullptr) << "EventLoop::Init not called";
+  GALAXY_CHECK(wakeup_fd_ >= 0) << "EventLoop::Init not called";
   std::vector<ReadyEvent> events;
   std::vector<uint64_t> expired;
   while (!stopping_.load(std::memory_order_acquire)) {
     events.clear();
     int timeout_ms = timers_.NextTimeoutMs(TimerWheel::Clock::now());
     if (timeout_ms < 0) timeout_ms = 1000;  // Re-check stopping_ regularly.
-    Status s = poller_->Wait(timeout_ms, &events);
+    Status s = poller_.Wait(timeout_ms, &events);
     if (!s.ok()) {
       std::fprintf(stderr, "galaxy event loop: %s\n", s.ToString().c_str());
       break;
     }
     for (const ReadyEvent& ev : events) {
-      if (ev.fd == wakeup_read_fd_) {
-        DrainWakeupPipe();
+      if (ev.fd == wakeup_fd_) {
+        DrainWakeup();
         continue;
       }
       // Re-look-up per callback: an earlier callback this iteration (or a

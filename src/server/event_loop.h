@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -16,7 +15,7 @@
 
 namespace galaxy::server {
 
-/// One readiness notification from a Poller.
+/// One readiness notification from the Poller.
 struct ReadyEvent {
   int fd = -1;
   bool readable = false;
@@ -26,31 +25,32 @@ struct ReadyEvent {
   bool hangup = false;
 };
 
-/// Readiness-notification backend. Two implementations sit behind this
-/// interface: an epoll(7) poller (Linux) and a portable poll(2) fallback,
-/// so the event loop itself never touches either API directly. All methods
-/// are single-threaded (the loop thread); Wait may block.
+/// The reactor's readiness backend: the owner of one level-triggered
+/// epoll(7) instance, so the event loop itself never touches the epoll API.
+/// All methods are single-threaded (the loop thread); Wait may block.
 class Poller {
  public:
-  virtual ~Poller() = default;
+  Poller() = default;
+  ~Poller();
 
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  /// Creates the epoll instance. Must succeed before any other call.
+  Status Init();
   /// Registers `fd` for readiness tracking with the given interest set.
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
+  Status Add(int fd, bool want_read, bool want_write);
   /// Replaces the interest set of a registered fd.
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
+  Status Update(int fd, bool want_read, bool want_write);
   /// Stops tracking `fd`. Safe to call for fds about to be closed.
-  virtual void Remove(int fd) = 0;
+  void Remove(int fd);
   /// Blocks up to `timeout_ms` (-1 = indefinitely, 0 = poll) and appends
   /// every ready fd to `out`. Returns OK on timeout with no events.
-  virtual Status Wait(int timeout_ms, std::vector<ReadyEvent>* out) = 0;
-  /// "epoll" or "poll" — surfaced in logs and tests.
-  virtual const char* name() const = 0;
-};
+  Status Wait(int timeout_ms, std::vector<ReadyEvent>* out);
 
-/// Builds the best available poller: epoll when compiled on Linux and
-/// `prefer_epoll` is set, the portable poll(2) backend otherwise. Both obey
-/// the same interface and the same tests run against each.
-std::unique_ptr<Poller> MakePoller(bool prefer_epoll);
+ private:
+  int epfd_ = -1;
+};
 
 /// A hashed timing wheel for coarse connection deadlines (idle/slowloris
 /// timeouts). O(1) schedule/cancel; expiry scans only the slots the clock
@@ -154,15 +154,15 @@ inline LoopThreadRole loop_thread_role;
 inline void ClaimLoopThreadRole() ASSERT_CAPABILITY(loop_thread_role) {}
 
 /// The reactor: one thread multiplexing every connection's readiness
-/// through a Poller, with cross-thread task posting (wakeup pipe) and a
-/// timer wheel for connection deadlines.
+/// through the Poller, with cross-thread task posting (an eventfd wakeup)
+/// and a timer wheel for connection deadlines.
 ///
 /// Threading model: Run() executes on a dedicated thread; AddFd/UpdateFd/
 /// RemoveFd/ScheduleTimer/CancelTimer and handler callbacks all happen on
 /// that thread only (enforced via loop_thread_role). Post() and Stop() may
 /// be called from any thread — they enqueue under a mutex and wake the
-/// loop through the pipe. Worker threads therefore never touch connection
-/// state directly; they Post a closure that the loop runs.
+/// loop through the eventfd. Worker threads therefore never touch
+/// connection state directly; they Post a closure that the loop runs.
 class EventLoop {
  public:
   /// Per-fd callbacks. Implemented by connections and the acceptor.
@@ -181,20 +181,14 @@ class EventLoop {
     ~FdHandler() = default;
   };
 
-  struct Options {
-    bool use_epoll = true;
-    /// Timer wheel resolution; idle deadlines fire within one tick.
-    std::chrono::milliseconds timer_tick{20};
-    size_t timer_slots = 512;
-  };
-
-  explicit EventLoop(const Options& options);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Creates the poller and wakeup pipe. Must succeed before Run().
+  /// Creates the epoll instance and the wakeup eventfd. Must succeed
+  /// before Run().
   Status Init();
 
   /// Blocks dispatching events until Stop(). Call on a dedicated thread.
@@ -223,20 +217,17 @@ class EventLoop {
   void SetTimerCallback(std::function<void(uint64_t)> cb)
       REQUIRES(loop_thread_role);
 
-  const char* poller_name() const;
-
  private:
-  void DrainWakeupPipe();
+  void DrainWakeup();
   void RunPostedTasks() EXCLUDES(post_mutex_);
 
-  const Options options_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   TimerWheel timers_ GUARDED_BY(loop_thread_role);
   std::function<void(uint64_t)> timer_callback_ GUARDED_BY(loop_thread_role);
   std::map<int, FdHandler*> handlers_ GUARDED_BY(loop_thread_role);
 
-  int wakeup_read_fd_ = -1;
-  int wakeup_write_fd_ = -1;
+  /// eventfd counter; Post adds to it, the loop reads it back to zero.
+  int wakeup_fd_ = -1;
 
   std::atomic<bool> stopping_{false};
   common::Mutex post_mutex_;

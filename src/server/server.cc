@@ -27,10 +27,6 @@ namespace {
 /// Byte budget of the result cache (its entry count is configurable).
 constexpr size_t kCacheBytes = 64 * 1024 * 1024;
 
-HttpResponse JsonError(int http_status, const Status& status) {
-  return JsonErrorResponse(http_status, status);
-}
-
 /// HTTP mapping of the library's Status codes, mirroring the CLI's exit
 /// codes: usage errors (exit 2) -> 4xx, control-plane trips under strict
 /// mode (exit 1) -> 408, everything unexpected -> 500.
@@ -257,7 +253,9 @@ Status Server::Start() {
   if (listen_fd_ >= 0) {
     return Status::InvalidArgument("server already started");
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking from the start: the event engine accepts on it from the
+  // reactor thread.
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return Status::Internal("socket(): " + std::string(strerror(errno)));
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -294,7 +292,6 @@ Status Server::Start() {
   }
   port_ = ntohs(bound.sin_port);
   listen_fd_ = fd;
-  stopping_.store(false, std::memory_order_relaxed);
 
   ConnectionMetrics conn_metrics;
   conn_metrics.connections_open = connections_open_;
@@ -302,7 +299,7 @@ Status Server::Start() {
   conn_metrics.idle_closed = connections_idle_closed_;
   conn_metrics.read_stall_seconds = read_stall_seconds_;
   engine_ = std::make_unique<EventEngine>(
-      options_.io_workers, options_.use_epoll, options_.idle_timeout,
+      options_.io_workers, options_.idle_timeout,
       [this](const HttpRequest& request) { return Handle(request); },
       [this](const HttpResponse& response) { CountResponse(response); },
       conn_metrics);
@@ -320,7 +317,6 @@ void Server::Stop() {
   if (listen_fd_ < 0 && engine_ == nullptr) {
     return;
   }
-  stopping_.store(true, std::memory_order_relaxed);
   if (engine_ != nullptr) {
     engine_->Stop();
     engine_.reset();
@@ -336,20 +332,23 @@ HttpResponse Server::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/healthz") {
     if (request.method != "GET") {
-      response = JsonError(405, Status::InvalidArgument("use GET /healthz"));
+      response = JsonErrorResponse(
+          405, Status::InvalidArgument("use GET /healthz"));
     } else {
       response.content_type = "text/plain";
       response.body = "ok\n";
     }
   } else if (request.path == "/metrics") {
     if (request.method != "GET") {
-      response = JsonError(405, Status::InvalidArgument("use GET /metrics"));
+      response = JsonErrorResponse(
+          405, Status::InvalidArgument("use GET /metrics"));
     } else {
       response = HandleMetrics();
     }
   } else if (request.path == "/query") {
     if (request.method != "POST") {
-      response = JsonError(405, Status::InvalidArgument("use POST /query"));
+      response = JsonErrorResponse(
+          405, Status::InvalidArgument("use POST /query"));
     } else {
       const auto begin = std::chrono::steady_clock::now();
       response = HandleQuery(request);
@@ -360,19 +359,21 @@ HttpResponse Server::Handle(const HttpRequest& request) {
     }
   } else if (request.path == "/update") {
     if (request.method != "POST") {
-      response = JsonError(405, Status::InvalidArgument("use POST /update"));
+      response = JsonErrorResponse(
+          405, Status::InvalidArgument("use POST /update"));
     } else {
       response = HandleUpdate(request);
     }
   } else if (request.path == "/skyline") {
     if (request.method != "GET") {
-      response = JsonError(405, Status::InvalidArgument("use GET /skyline"));
+      response = JsonErrorResponse(
+          405, Status::InvalidArgument("use GET /skyline"));
     } else {
       response = HandleSkyline();
     }
   } else {
-    response =
-        JsonError(404, Status::NotFound("no such endpoint: " + request.path));
+    response = JsonErrorResponse(
+        404, Status::NotFound("no such endpoint: " + request.path));
   }
   CountResponse(response);
   return response;
@@ -387,7 +388,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   queries_total_->Inc();
   const std::string sql(StrTrim(request.body));
   if (sql.empty()) {
-    return JsonError(
+    return JsonErrorResponse(
         400, Status::InvalidArgument("empty body; send SQL as the body"));
   }
   const std::string* accept = request.FindHeader("Accept");
@@ -417,7 +418,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
       (request.queue_wait->waiting > options_.queue_capacity ||
        request.queue_wait->waited > options_.queue_timeout)) {
     rejected_total_->Inc();
-    HttpResponse response = JsonError(
+    HttpResponse response = JsonErrorResponse(
         429, Status::ResourceExhausted(
                  "server overloaded; queue full or wait timed out"));
     response.extra_headers.emplace_back("Retry-After", "1");
@@ -435,7 +436,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   Result<std::unique_ptr<sql::SelectStmt>> stmt = sql::Parse(sql);
   if (!stmt.ok()) {
     parse_errors_total_->Inc();
-    return JsonError(400, stmt.status());
+    return JsonErrorResponse(400, stmt.status());
   }
   std::vector<std::pair<std::string, uint64_t>> deps;
   for (const std::string& table : CollectReferencedTables(**stmt)) {
@@ -445,10 +446,12 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
 
   // ---- Execution controls from headers. ----------------------------------
   Result<uint64_t> timeout_ms = ParseUintHeader(request, "X-Galaxy-Timeout-Ms");
-  if (!timeout_ms.ok()) return JsonError(400, timeout_ms.status());
+  if (!timeout_ms.ok()) return JsonErrorResponse(400, timeout_ms.status());
   Result<uint64_t> max_comparisons =
       ParseUintHeader(request, "X-Galaxy-Max-Comparisons");
-  if (!max_comparisons.ok()) return JsonError(400, max_comparisons.status());
+  if (!max_comparisons.ok()) {
+    return JsonErrorResponse(400, max_comparisons.status());
+  }
   const std::string* strict = request.FindHeader("X-Galaxy-Strict");
   const bool strict_mode =
       strict != nullptr && *strict != "0" && !EqualsIgnoreCase(*strict, "false");
@@ -475,7 +478,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   sql::ExecStats stats;
   Result<Table> result = db_->Query(sql, exec_options, &stats);
   if (!result.ok()) {
-    return JsonError(HttpStatusFor(result.status()), result.status());
+    return JsonErrorResponse(HttpStatusFor(result.status()), result.status());
   }
 
   sky_record_comparisons_->Inc(stats.skyline_stats.record_comparisons);
@@ -490,7 +493,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   HttpResponse response;
   if (want_csv) {
     Result<std::string> csv = TableToCsv(*result);
-    if (!csv.ok()) return JsonError(500, csv.status());
+    if (!csv.ok()) return JsonErrorResponse(500, csv.status());
     response.content_type = "text/csv";
     response.body = std::move(*csv);
   } else {
@@ -515,13 +518,13 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
   updates_total_->Inc();
   const std::string* table_name = request.FindParam("table");
   if (table_name == nullptr || table_name->empty()) {
-    return JsonError(
+    return JsonErrorResponse(
         400, Status::InvalidArgument("missing ?table= query parameter"));
   }
   std::string op = "insert";
   if (const std::string* p = request.FindParam("op")) op = *p;
   if (op != "insert" && op != "remove") {
-    return JsonError(400,
+    return JsonErrorResponse(400,
                      Status::InvalidArgument("op must be insert or remove"));
   }
   const bool insert = op == "insert";
@@ -530,11 +533,11 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
   // their pinned snapshots meanwhile.
   common::MutexLock update_lock(&update_mutex_);
   Result<std::shared_ptr<const Table>> snapshot = db_->GetTable(*table_name);
-  if (!snapshot.ok()) return JsonError(404, snapshot.status());
+  if (!snapshot.ok()) return JsonErrorResponse(404, snapshot.status());
   const Table& table = **snapshot;
 
   Result<Row> row = ParseCsvRowForSchema(table.schema(), request.body);
-  if (!row.ok()) return JsonError(400, row.status());
+  if (!row.ok()) return JsonErrorResponse(400, row.status());
 
   // Copy-on-write install: an insert shares every column buffer with the
   // pinned snapshot and appends at its tip (O(columns)); a remove copies
@@ -545,7 +548,7 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
   if (!next_table.ok()) {
     int code =
         next_table.status().code() == StatusCode::kNotFound ? 404 : 400;
-    return JsonError(code, next_table.status());
+    return JsonErrorResponse(code, next_table.status());
   }
 
   // Validate the change against the incremental view BEFORE logging or
@@ -560,7 +563,7 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
     if (view_ != nullptr &&
         view_->config.table == AsciiLower(*table_name)) {
       Result<PendingDelta> validated = ValidateViewDelta(*view_, *row, insert);
-      if (!validated.ok()) return JsonError(400, validated.status());
+      if (!validated.ok()) return JsonErrorResponse(400, validated.status());
       delta = std::move(*validated);
     }
   }
@@ -578,7 +581,7 @@ HttpResponse Server::HandleUpdate(const HttpRequest& request) {
     Status logged = durability_->LogUpdate(record);
     if (!logged.ok()) {
       durability_errors_total_->Inc();
-      return JsonError(503, logged);
+      return JsonErrorResponse(503, logged);
     }
   }
 
@@ -724,14 +727,14 @@ Status Server::EnableSkylineView(const SkylineViewConfig& config) {
 HttpResponse Server::HandleSkyline() {
   common::MutexLock lock(&view_mutex_);
   if (view_ == nullptr) {
-    return JsonError(
+    return JsonErrorResponse(
         404, Status::NotFound(
                  "no skyline view configured (galaxy_served --view ...)"));
   }
   // Deferred maintenance: apply whatever /update queued since the last
   // read, as one refresh pass.
   Status drained = DrainViewDeltas(view_.get());
-  if (!drained.ok()) return JsonError(500, drained);
+  if (!drained.ok()) return JsonErrorResponse(500, drained);
   std::string body = "{\"table\": \"" + JsonEscape(view_->config.table) +
                      "\", \"group_column\": \"" +
                      JsonEscape(view_->config.group_column) +

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -60,8 +59,6 @@ struct ServerOptions {
   /// Query-execution worker threads (the reactor itself never executes
   /// queries), and so the bound on queries executing at once.
   size_t io_workers = 4;
-  /// Prefer epoll over the portable poll(2) backend.
-  bool use_epoll = true;
   /// With durability attached: rotate to a fresh snapshot + WAL after this
   /// many logged updates (inline, on the update that crosses the
   /// threshold). 0 = never snapshot automatically.
@@ -93,7 +90,7 @@ struct ServerOptions {
 /// connection — non-blocking reads feed per-connection incremental-parse
 /// state machines (server/connection.h), complete requests are handed to a
 /// small WorkerPool, and responses come back to the loop through a wakeup
-/// pipe to be written with EPOLLOUT-driven buffering and per-connection
+/// eventfd to be written with EPOLLOUT-driven buffering and per-connection
 /// backpressure. Open connections therefore cost a few KB, not a thread.
 /// The WorkerPool is the only request queue: `io_workers` bounds how many
 /// queries execute at once, and ServerOptions::queue_capacity /
@@ -246,7 +243,6 @@ class Server {
   std::unique_ptr<ViewState> view_ GUARDED_BY(view_mutex_);
 
   // ---- Connection plumbing. ----------------------------------------------
-  std::atomic<bool> stopping_{false};
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::unique_ptr<EventEngine> engine_;

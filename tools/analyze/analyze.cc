@@ -148,8 +148,9 @@ std::vector<size_t> Callees(const Program& p, const Function& f,
   // repo's CamelCase method convention (lowercase names are STL / libc
   // calls); otherwise the call is dropped — a documented
   // under-approximation (analyze.h). Genuine virtual dispatch through an
-  // interface (Poller::Wait) survives when the override is unique; an
-  // ambiguous one is handled by the rules' entry-point / exemption sets.
+  // interface survives when the override is unique; an ambiguous one
+  // (FdHandler::OnReadable: Connection and the acceptor) is handled by the
+  // rules' entry-point / exemption sets.
   auto unambiguous = [&]() -> std::vector<size_t> {
     if (named->second.size() == 1 &&
         std::isupper(static_cast<unsigned char>(c.name[0])) != 0) {
@@ -222,8 +223,7 @@ const std::set<std::string>& QualifiedBlockingCalls() {
 
 /// Poller::Wait is the reactor's one designed block.
 const std::set<std::string>& ExemptBlockingCalls() {
-  static const std::set<std::string> kCalls = {
-      "Poller::Wait", "EpollPoller::Wait", "PollPoller::Wait"};
+  static const std::set<std::string> kCalls = {"Poller::Wait"};
   return kCalls;
 }
 

@@ -23,8 +23,8 @@
 ///                     timer-callback entry points, flags any reachable
 ///                     blocking primitive (fsync, WalWriter::Append,
 ///                     CondVar::Wait, sleep_for, blocking socket I/O).
-///                     Poller::Wait is the designed block and exempt;
-///                     src/server/event_loop.* and
+///                     Poller::Wait (epoll_wait) is the designed block
+///                     and exempt; src/server/event_loop.* and
 ///                     src/server/connection.* do non-blocking socket I/O
 ///                     by construction and are exempt from the socket set.
 ///   budget-reach      nested loops in code reachable from executor /
