@@ -1,7 +1,7 @@
-// Microbenchmark of the dominance-counting kernels (core/count_kernel.h):
+// Microbenchmark of the dominance-counting kernel (core/count_kernel.h):
 // raw CountBlock throughput against the scalar per-pair loop across
-// dimensionalities and distributions, and ClassifyPair on each side of its
-// kernel rule (d = 4 tiles, d = 6 runs the sorted kernel). Emits a
+// dimensionalities and distributions, and ClassifyPair with the stop rule
+// at d = 4 and d = 6. Emits a
 // machine-readable JSON report (default BENCH_kernel.json) whose speedup
 // ratios — not absolute times — feed the CI regression gate
 // (scripts/check_bench_regression.py); ratios compare two code paths on
@@ -118,7 +118,7 @@ int Main(int argc, char** argv) {
   // ---- Raw block-counting throughput vs the scalar loop. -----------------
   const size_t block_n = quick ? 256 : 1024;
   const std::vector<size_t> dims_list =
-      quick ? std::vector<size_t>{2, 4}
+      quick ? std::vector<size_t>{2, 4, 6}
             : std::vector<size_t>{2, 3, 4, 5, 6, 7, 8};
   for (bool anti : {false, true}) {
     if (quick && anti) break;
@@ -151,8 +151,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- ClassifyPair on each side of the kernel rule (stop rule on). -----
-  // The entry name carries the kernel the rule chose.
+  // ---- ClassifyPair with the stop rule on. -------------------------------
   for (size_t dims : {4u, 6u}) {
     const size_t k = quick ? 1000 : 4000;
     core::Group g1(0, "a", MakeRows(rng, k, dims, false), dims);
@@ -169,8 +168,7 @@ int Main(int argc, char** argv) {
         },
         window);
     BenchJsonEntry e;
-    e.name = "classify_pair_d" + std::to_string(dims) + "_" +
-             core::KernelPolicyToString(stats.kernel_used);
+    e.name = "classify_pair_d" + std::to_string(dims);
     e.metrics.emplace_back("seconds_per_call", s);
     e.metrics.emplace_back("record_comparisons",
                            static_cast<double>(stats.record_comparisons));

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/count_kernel.h"
 
 namespace galaxy::core {
 
@@ -228,14 +229,10 @@ PairOutcome OutcomeFromPredicates(bool first_gamma, bool first_strong,
 
 // ---- Residual-scan machinery (core/count_kernel.h orchestration). ---------
 
-// Reused per-thread buffers: the kernels are allocation-free on the steady
+// Reused per-thread buffers: the kernel is allocation-free on the steady
 // state, the scratch grows to the largest residual seen by this thread.
 struct ScanScratch {
-  std::vector<double> rows1, rows2;      // gathered residual rows
-  std::vector<double> sorted1, sorted2;  // score-descending copies
-  std::vector<uint32_t> order1, order2;
-  std::vector<double> scores1, scores2;
-  std::vector<double> suffmax2, premin2;
+  std::vector<double> rows1, rows2;  // gathered residual rows
 };
 
 ScanScratch& TlsScanScratch() {
@@ -280,22 +277,6 @@ struct ScanState {
   }
 };
 
-// The kernel rule. A charged scan tiles (one bounded tile = one charge
-// batch keeps the documented unwind latency); an exhaustive scan tiles for
-// predictable reference counting; at d <= kTiledMaxDims CountBlock fills
-// its vector lanes and the tiles win on the measured workloads; a small
-// residual does not pay for the sorted path's setup. Large stop-rule scans
-// at higher d take the sorted kernel, whose one-way ranges and corner
-// counts skip work the under-filled d >= 5 tiles cannot.
-KernelPolicy ChooseKernel(size_t dims, uint64_t residual_pairs,
-                          bool use_stop_rule, bool has_exec) {
-  if (has_exec || !use_stop_rule || dims <= kernel::kTiledMaxDims ||
-      residual_pairs < kernel::kSortedMinPairs) {
-    return KernelPolicy::kTiled;
-  }
-  return KernelPolicy::kSorted;
-}
-
 // Cache-blocked branch-free counting; the incremental stop rule runs at
 // tile boundaries. Charged scans shrink the tile to one charge batch.
 bool ScanTiled(const double* rows1, size_t k1, const double* rows2,
@@ -325,94 +306,6 @@ bool ScanTiled(const double* rows1, size_t k1, const double* rows2,
     }
   }
   return false;
-}
-
-// Monotone-score ordered scan. Both sides are sorted by decreasing score;
-// for each outer row the inner side splits into a strictly-greater prefix
-// (only s ≻ r possible), an equal-score band (either direction — floating
-// point score ties do not imply record equality, so the full two-way test
-// runs there), and a strictly-smaller suffix (only r ≻ s possible). The
-// one-directional ranges use componentwise->= tests (strict score
-// difference rules out equal records) and whole-range corner shortcuts.
-bool ScanSorted(const double* sorted1, const double* scores1, size_t k1,
-                const double* sorted2, const double* scores2, size_t k2,
-                size_t dims, bool use_stop_rule,
-                const GammaThresholds& thresholds, ScanState& st,
-                ScanScratch& sc, PairOutcome* outcome) {
-  kernel::BuildSuffixMax(sorted2, k2, dims, &sc.suffmax2);
-  kernel::BuildPrefixMin(sorted2, k2, dims, &sc.premin2);
-  size_t e_gt = 0;  // end of the strictly-greater inner prefix
-  size_t e_ge = 0;  // end of the >= inner prefix (equal band included)
-  for (size_t i = 0; i < k1; ++i) {
-    const double* r = sorted1 + i * dims;
-    const double score = scores1[i];
-    while (e_gt < k2 && scores2[e_gt] > score) ++e_gt;
-    if (e_ge < e_gt) e_ge = e_gt;
-    while (e_ge < k2 && scores2[e_ge] >= score) ++e_ge;
-
-    if (e_gt > 0) {
-      // Prefix-min corner >= r means every prefix record dominates r.
-      if (kernel::GeqAll(sc.premin2.data() + (e_gt - 1) * dims, r, dims)) {
-        st.n21 += e_gt;
-        if (!st.Charge(1)) return true;
-      } else {
-        st.n21 += kernel::CountDominatingOneWay(r, sorted2, e_gt, dims);
-        if (!st.Charge(e_gt)) return true;
-      }
-    }
-    if (e_ge > e_gt) {
-      kernel::KernelCounts c = kernel::CountBlock(
-          r, 1, sorted2 + e_gt * dims, e_ge - e_gt, dims);
-      st.n12 += c.n12;
-      st.n21 += c.n21;
-      if (!st.Charge(e_ge - e_gt)) return true;
-    }
-    if (e_ge < k2) {
-      // r >= the suffix-max corner means r dominates every suffix record.
-      if (kernel::GeqAll(r, sc.suffmax2.data() + e_ge * dims, dims)) {
-        st.n12 += k2 - e_ge;
-        if (!st.Charge(1)) return true;
-      } else {
-        st.n12 += kernel::CountDominatedOneWay(r, sorted2 + e_ge * dims,
-                                               k2 - e_ge, dims);
-        if (!st.Charge(k2 - e_ge)) return true;
-      }
-    }
-    st.resolved += k2;
-    if (use_stop_rule &&
-        internal::TryResolveOutcome(st.n12, st.n21, st.resolved, st.total,
-                                    thresholds, outcome)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Builds the score-descending packed rows of one side. The full-group case
-// reuses the group's lazily cached order (no per-call sort); an MBB
-// residual subset is sorted per call.
-void BuildSortedSide(const Group& g, const std::vector<uint32_t>* rest,
-                     std::vector<double>* gathered,
-                     std::vector<uint32_t>* order,
-                     std::vector<double>* sorted_rows,
-                     std::vector<double>* scores) {
-  const size_t dims = g.dims();
-  if (rest == nullptr) {
-    const std::vector<uint32_t>& cached = g.score_order_desc();
-    kernel::GatherRows(g.data().data(), cached.data(), cached.size(), dims,
-                       sorted_rows);
-    scores->resize(cached.size());
-    for (size_t i = 0; i < cached.size(); ++i) {
-      (*scores)[i] = kernel::RowScore(sorted_rows->data() + i * dims, dims);
-    }
-    return;
-  }
-  kernel::GatherRows(g.data().data(), rest->data(), rest->size(), dims,
-                     gathered);
-  kernel::SortByScoreDesc(gathered->data(), rest->size(), dims, order,
-                          scores);
-  kernel::GatherRows(gathered->data(), order->data(), order->size(), dims,
-                     sorted_rows);
 }
 
 }  // namespace
@@ -503,36 +396,21 @@ PairOutcome ClassifyPair(const Group& g1, const Group& g2,
     return outcome;
   }
 
-  const KernelPolicy policy = ChooseKernel(
-      dims, residual_pairs, options.use_stop_rule, exec != nullptr);
-  if (stats != nullptr) stats->kernel_used = policy;
-
   bool ended_early = false;
   if (residual_pairs > 0) {
     ScanScratch& sc = TlsScanScratch();
-    if (policy == KernelPolicy::kSorted) {
-      BuildSortedSide(g1, rest1_ptr, &sc.rows1, &sc.order1, &sc.sorted1,
-                      &sc.scores1);
-      BuildSortedSide(g2, rest2_ptr, &sc.rows2, &sc.order2, &sc.sorted2,
-                      &sc.scores2);
-      ended_early = ScanSorted(sc.sorted1.data(), sc.scores1.data(), k1,
-                               sc.sorted2.data(), sc.scores2.data(), k2, dims,
-                               options.use_stop_rule, thresholds, st, sc,
-                               &outcome);
-    } else {
-      const double* rows1 = g1.data().data();
-      const double* rows2 = g2.data().data();
-      if (rest1_ptr != nullptr) {
-        kernel::GatherRows(rows1, rest1_ptr->data(), k1, dims, &sc.rows1);
-        rows1 = sc.rows1.data();
-      }
-      if (rest2_ptr != nullptr) {
-        kernel::GatherRows(rows2, rest2_ptr->data(), k2, dims, &sc.rows2);
-        rows2 = sc.rows2.data();
-      }
-      ended_early = ScanTiled(rows1, k1, rows2, k2, dims,
-                              options.use_stop_rule, thresholds, st, &outcome);
+    const double* rows1 = g1.data().data();
+    const double* rows2 = g2.data().data();
+    if (rest1_ptr != nullptr) {
+      kernel::GatherRows(rows1, rest1_ptr->data(), k1, dims, &sc.rows1);
+      rows1 = sc.rows1.data();
     }
+    if (rest2_ptr != nullptr) {
+      kernel::GatherRows(rows2, rest2_ptr->data(), k2, dims, &sc.rows2);
+      rows2 = sc.rows2.data();
+    }
+    ended_early = ScanTiled(rows1, k1, rows2, k2, dims, options.use_stop_rule,
+                            thresholds, st, &outcome);
   }
 
   if (st.aborted) {

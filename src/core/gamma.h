@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/count_kernel.h"
 #include "core/exec_context.h"
 #include "core/group.h"
 
@@ -68,9 +67,6 @@ struct PairCompareStats {
   /// Records (from either group) classified analytically against the other
   /// group's MBB corners, skipping their pairwise scans entirely.
   uint64_t records_preclassified = 0;
-  /// The counting kernel ClassifyPair chose for the residual scan (left
-  /// at kTiled when no scan ran).
-  KernelPolicy kernel_used = KernelPolicy::kTiled;
   bool mbb_strict_shortcut = false;    ///< decided by min/max corner alone
   bool stopped_early = false;          ///< stop rule fired before full scan
   /// The governing ExecutionContext stopped the scan before the pair was
@@ -106,10 +102,9 @@ struct PairCompareOptions {
 
 /// Classifies the pair (g1, g2) against the thresholds. The result is
 /// identical for every option combination; options only change the work
-/// performed. The residual scan tiles when charged, when the stop rule is
-/// off, at d <= kernel::kTiledMaxDims or below kernel::kSortedMinPairs
-/// residual pairs, and runs the sorted kernel otherwise
-/// (core/count_kernel.h). `stats` may be null. A pair involving an empty
+/// performed. The residual scan runs kernel::CountBlock tile by tile
+/// (core/count_kernel.h), checking the stop rule between tiles. `stats`
+/// may be null. A pair involving an empty
 /// group is always kIncomparable (see DominationProbability).
 PairOutcome ClassifyPair(const Group& g1, const Group& g2,
                          const GammaThresholds& thresholds,

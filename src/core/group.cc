@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "core/count_kernel.h"
 
 namespace galaxy::core {
 
@@ -20,71 +19,6 @@ Group::Group(uint32_t id, std::string label, std::vector<double> data,
   for (size_t i = 0; i < size_; ++i) {
     mbb_.Expand(point(i));
   }
-}
-
-Group::~Group() { delete score_order_.load(std::memory_order_acquire); }
-
-Group::Group(const Group& other)
-    : id_(other.id_),
-      label_(other.label_),
-      data_(other.data_),
-      dims_(other.dims_),
-      size_(other.size_),
-      mbb_(other.mbb_) {}
-
-Group& Group::operator=(const Group& other) {
-  if (this == &other) return *this;
-  id_ = other.id_;
-  label_ = other.label_;
-  data_ = other.data_;
-  dims_ = other.dims_;
-  size_ = other.size_;
-  mbb_ = other.mbb_;
-  delete score_order_.exchange(nullptr, std::memory_order_acq_rel);
-  return *this;
-}
-
-Group::Group(Group&& other) noexcept
-    : id_(other.id_),
-      label_(std::move(other.label_)),
-      data_(std::move(other.data_)),
-      dims_(other.dims_),
-      size_(other.size_),
-      mbb_(std::move(other.mbb_)),
-      score_order_(
-          other.score_order_.exchange(nullptr, std::memory_order_acq_rel)) {}
-
-Group& Group::operator=(Group&& other) noexcept {
-  if (this == &other) return *this;
-  id_ = other.id_;
-  label_ = std::move(other.label_);
-  data_ = std::move(other.data_);
-  dims_ = other.dims_;
-  size_ = other.size_;
-  mbb_ = std::move(other.mbb_);
-  delete score_order_.exchange(
-      other.score_order_.exchange(nullptr, std::memory_order_acq_rel),
-      std::memory_order_acq_rel);
-  return *this;
-}
-
-const std::vector<uint32_t>& Group::score_order_desc() const {
-  const std::vector<uint32_t>* cached =
-      score_order_.load(std::memory_order_acquire);
-  if (cached != nullptr) return *cached;
-  // galaxy-lint: allow(naked-new) — lock-free once-publication: ownership
-  // transfers to score_order_ via CAS; the loser deletes its copy below.
-  auto* order = new std::vector<uint32_t>();
-  std::vector<double> scores;
-  kernel::SortByScoreDesc(data_.data(), size_, dims_, order, &scores);
-  const std::vector<uint32_t>* expected = nullptr;
-  if (!score_order_.compare_exchange_strong(expected, order,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-    delete order;  // another thread published first; use its copy
-    return *expected;
-  }
-  return *order;
 }
 
 Result<GroupedDataset> GroupedDataset::FromTable(

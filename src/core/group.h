@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -25,14 +24,6 @@ class Group {
   /// groups (no records) are allowed: they neither dominate nor are
   /// dominated, and their MBB is the empty box (corners at ±infinity).
   Group(uint32_t id, std::string label, std::vector<double> data, size_t dims);
-  ~Group();
-
-  // The lazily cached score order (an atomic pointer) makes the implicit
-  // special members unavailable; copies drop the cache, moves transfer it.
-  Group(const Group& other);
-  Group& operator=(const Group& other);
-  Group(Group&& other) noexcept;
-  Group& operator=(Group&& other) noexcept;
 
   uint32_t id() const { return id_; }
   const std::string& label() const { return label_; }
@@ -50,15 +41,6 @@ class Group {
   /// Minimum bounding box of the group's records.
   const Box& mbb() const { return mbb_; }
 
-  /// Record indexes ordered by decreasing MonotoneScore (coordinate sum;
-  /// the data is MAX-oriented), ties by ascending index. A record can only
-  /// dominate records with a smaller score, so this is the probe order of
-  /// the sorted counting kernel (core/count_kernel.h). Computed lazily on
-  /// first use and cached for the group's lifetime; safe to call from
-  /// concurrent threads (losers of the initialization race discard their
-  /// copy).
-  const std::vector<uint32_t>& score_order_desc() const;
-
  private:
   uint32_t id_;
   std::string label_;
@@ -66,7 +48,6 @@ class Group {
   size_t dims_;
   size_t size_;
   Box mbb_;
-  mutable std::atomic<const std::vector<uint32_t>*> score_order_{nullptr};
 };
 
 /// A partition of a record universe into groups — the input of the

@@ -1305,28 +1305,30 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
       }
     }
 
-    // Evaluates one SKYLINE OF dimension over the selection into a dense
-    // array (negated for MIN dimensions). Plain numeric columns copy
-    // without boxing; NULL/string cells box per cell so the conversion
-    // error text matches the scalar pipeline.
-    auto eval_skyline_dim =
-        [&](const SkylineItem& item) -> Result<std::vector<double>> {
-      std::vector<double> out(sel.size());
+    // Evaluates one SKYLINE OF dimension over the selection, passing each
+    // row's value (negated for MIN dimensions) to `emit(i, value)` in
+    // selection order, so callers write it straight to its destination.
+    // Plain numeric columns copy without boxing; NULL/string cells box per
+    // cell so the conversion error text matches the scalar pipeline.
+    auto eval_skyline_dim = [&](const SkylineItem& item,
+                                auto&& emit) -> Status {
+      const double sign = item.maximize ? 1.0 : -1.0;
       const Expr* e = item.expr.get();
       if (e->kind == ExprKind::kColumnRef && e->bound_slot >= 0) {
         const Column& col = t0.column(static_cast<size_t>(e->bound_slot));
         if (col.type() == ValueType::kDouble && !col.has_nulls()) {
           std::span<const double> v = col.doubles();
-          for (size_t i = 0; i < sel.size(); ++i) out[i] = v[sel[i]];
+          for (size_t i = 0; i < sel.size(); ++i) emit(i, sign * v[sel[i]]);
         } else if (col.type() == ValueType::kInt64 && !col.has_nulls()) {
           std::span<const int64_t> v = col.ints();
           for (size_t i = 0; i < sel.size(); ++i) {
-            out[i] = static_cast<double>(v[sel[i]]);
+            emit(i, sign * static_cast<double>(v[sel[i]]));
           }
         } else {
           for (size_t i = 0; i < sel.size(); ++i) {
-            GALAXY_ASSIGN_OR_RETURN(out[i],
+            GALAXY_ASSIGN_OR_RETURN(double x,
                                     col.GetValue(sel[i]).ToDouble());
+            emit(i, sign * x);
           }
         }
       } else {
@@ -1334,27 +1336,22 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
           current[0] = sel[i];
           ctx.row = &scan_view;
           GALAXY_ASSIGN_OR_RETURN(Value v, Eval(e, ctx));
-          GALAXY_ASSIGN_OR_RETURN(out[i], v.ToDouble());
+          GALAXY_ASSIGN_OR_RETURN(double x, v.ToDouble());
+          emit(i, sign * x);
         }
       }
-      if (!item.maximize) {
-        for (double& x : out) x = -x;
-      }
-      return out;
+      return Status::OK();
     };
 
     if (!grouped) {
       // Optional record skyline filter (SKYLINE OF without GROUP BY).
       if (!stmt.skyline.empty()) {
         const size_t d = stmt.skyline.size();
-        std::vector<std::vector<double>> dims(d);
-        for (size_t k = 0; k < d; ++k) {
-          GALAXY_ASSIGN_OR_RETURN(dims[k], eval_skyline_dim(stmt.skyline[k]));
-        }
         std::vector<std::vector<double>> points(sel.size(),
                                                 std::vector<double>(d));
-        for (size_t i = 0; i < sel.size(); ++i) {
-          for (size_t k = 0; k < d; ++k) points[i][k] = dims[k][i];
+        for (size_t k = 0; k < d; ++k) {
+          GALAXY_RETURN_IF_ERROR(eval_skyline_dim(
+              stmt.skyline[k], [&](size_t i, double x) { points[i][k] = x; }));
         }
         std::vector<size_t> keep =
             skyline::Compute(points, skyline::AllMax(d));
@@ -1416,11 +1413,13 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
       }
     } else {
       // ---- Grouping: dense group ids over the selection. ----------------
-      std::vector<std::vector<uint32_t>> group_rows;
+      // Each branch assigns row_gid; group_rows is filled after one
+      // counting pass, each list reserved to its exact size.
       std::vector<uint32_t> row_gid(sel.size(), 0);
+      uint32_t next_gid = 0;
       if (stmt.group_by.empty()) {
         // Global aggregate: one group over everything (even when empty).
-        group_rows.emplace_back(sel.begin(), sel.end());
+        next_gid = 1;
       } else {
         const Expr* single =
             stmt.group_by.size() == 1 &&
@@ -1440,19 +1439,14 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
             const uint32_t r = sel[i];
             uint32_t gid;
             if (col.is_null(r)) {
-              if (null_gid == UINT32_MAX) {
-                null_gid = static_cast<uint32_t>(group_rows.size());
-                group_rows.emplace_back();
-              }
+              if (null_gid == UINT32_MAX) null_gid = next_gid++;
               gid = null_gid;
             } else {
-              auto [it, inserted] = gids.try_emplace(
-                  std::string_view(v[r]),
-                  static_cast<uint32_t>(group_rows.size()));
-              if (inserted) group_rows.emplace_back();
+              auto [it, inserted] =
+                  gids.try_emplace(std::string_view(v[r]), next_gid);
+              if (inserted) ++next_gid;
               gid = it->second;
             }
-            group_rows[gid].push_back(r);
             row_gid[i] = gid;
           }
         } else if (single != nullptr && key_type == ValueType::kInt64) {
@@ -1464,18 +1458,13 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
             const uint32_t r = sel[i];
             uint32_t gid;
             if (col.is_null(r)) {
-              if (null_gid == UINT32_MAX) {
-                null_gid = static_cast<uint32_t>(group_rows.size());
-                group_rows.emplace_back();
-              }
+              if (null_gid == UINT32_MAX) null_gid = next_gid++;
               gid = null_gid;
             } else {
-              auto [it, inserted] = gids.try_emplace(
-                  v[r], static_cast<uint32_t>(group_rows.size()));
-              if (inserted) group_rows.emplace_back();
+              auto [it, inserted] = gids.try_emplace(v[r], next_gid);
+              if (inserted) ++next_gid;
               gid = it->second;
             }
-            group_rows[gid].push_back(r);
             row_gid[i] = gid;
           }
         } else {
@@ -1497,15 +1486,24 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
                 key.push_back(std::move(v));
               }
             }
-            auto [it, inserted] = gids.try_emplace(
-                key, static_cast<uint32_t>(group_rows.size()));
-            if (inserted) group_rows.emplace_back();
-            group_rows[it->second].push_back(r);
+            auto [it, inserted] = gids.try_emplace(key, next_gid);
+            if (inserted) ++next_gid;
             row_gid[i] = it->second;
           }
         }
       }
-      const size_t num_groups = group_rows.size();
+      const size_t num_groups = next_gid;
+      std::vector<std::vector<uint32_t>> group_rows(num_groups);
+      {
+        std::vector<uint32_t> counts(num_groups, 0);
+        for (uint32_t gid : row_gid) ++counts[gid];
+        for (size_t g = 0; g < num_groups; ++g) {
+          group_rows[g].reserve(counts[g]);
+        }
+        for (size_t i = 0; i < sel.size(); ++i) {
+          group_rows[row_gid[i]].push_back(sel[i]);
+        }
+      }
 
       // First row of each group (all-NULL for the synthetic global group):
       // one boxed row per group feeds HAVING and projection; the per-row
@@ -1562,17 +1560,21 @@ static Result<Table> ExecuteSingleSelect(const Database& db, SelectStmt& stmt,
       std::vector<std::vector<double>> group_bufs;
       if (!stmt.skyline.empty()) {
         const size_t d = stmt.skyline.size();
-        std::vector<std::vector<double>> dims(d);
-        for (size_t k = 0; k < d; ++k) {
-          GALAXY_ASSIGN_OR_RETURN(dims[k], eval_skyline_dim(stmt.skyline[k]));
-        }
         group_bufs.resize(num_groups);
         for (size_t g = 0; g < num_groups; ++g) {
-          group_bufs[g].reserve(group_rows[g].size() * d);
+          group_bufs[g].resize(group_rows[g].size() * d);
         }
-        for (size_t i = 0; i < sel.size(); ++i) {
-          std::vector<double>& buf = group_bufs[row_gid[i]];
-          for (size_t k = 0; k < d; ++k) buf.push_back(dims[k][i]);
+        // One attribute at a time, straight into the row-major group
+        // buffers: a group's rows arrive in selection order, so a per-group
+        // cursor finds each row's slot.
+        std::vector<size_t> cursor(num_groups);
+        for (size_t k = 0; k < d; ++k) {
+          std::fill(cursor.begin(), cursor.end(), size_t{0});
+          GALAXY_RETURN_IF_ERROR(eval_skyline_dim(
+              stmt.skyline[k], [&](size_t i, double x) {
+                const uint32_t g = row_gid[i];
+                group_bufs[g][cursor[g]++ * d + k] = x;
+              }));
         }
         if (stats != nullptr) stats->group_gather_cells += sel.size() * d;
       }
