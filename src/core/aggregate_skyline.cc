@@ -6,8 +6,8 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/algo_context.h"
-#include "core/anytime.h"
 #include "core/gamma.h"
+#include "skyline/skyline.h"
 
 namespace galaxy::core {
 
@@ -73,10 +73,6 @@ std::vector<std::string> AggregateSkylineResult::Labels(
 
 namespace {
 
-// Record-comparison budget of the degradation pass, the anytime salvage
-// run after an interruption (see DegradeToAnytime).
-constexpr uint64_t kDegradeComparisonBudget = 1 << 20;
-
 // Resolves kAuto to the configuration GROUP BY … SKYLINE OF serves:
 // safe-mode IN. The R-tree limits each group to the groups that could
 // γ-dominate it, and without candidate skipping the answer stays exact
@@ -129,38 +125,44 @@ AggregateSkylineResult RunResolved(const GroupedDataset& dataset,
   return result;
 }
 
-// Salvages an interrupted run: merges its partial dominance marks (every
-// one of which is a true γ-domination) with a bounded anytime pass over
-// the same dataset. Both mark sets only exclude genuinely dominated
-// groups, so their union excludes only dominated groups too — the merged
-// skyline is a sound superset of the exact answer, and equals it when the
-// salvage pass manages to decide every pair.
-AggregateSkylineResult DegradeToAnytime(
-    const GroupedDataset& dataset, const AggregateSkylineOptions& options,
-    AggregateSkylineResult partial) {
-  AnytimeAggregateSkyline::Options anytime_options;
-  anytime_options.gamma = options.gamma;
-  anytime_options.use_mbb = true;
-  // Deliberately no exec: the salvage budget is deterministic and
-  // independent of the tripped context, so a degraded answer returns
-  // promptly even when the deadline already expired.
-  AnytimeAggregateSkyline engine(dataset, anytime_options);
-  AnytimeAggregateSkyline::Snapshot snapshot =
-      engine.Advance(kDegradeComparisonBudget);
-
+// Degrades an interrupted run to a sound superset. Its partial marks are
+// each a proven γ-domination. On top of them, a group S is dropped when
+// some non-empty group R has min_R dominating max_S (the Figure 9(b) corner
+// test): then every r beats every s, p(R≻S) = 1, and Definition 3 counts
+// that as domination at every γ, γ̄ included. A dominated min corner is
+// itself dominated by a skyline min corner, so testing each max corner
+// against the SFS skyline of the min corners finds every drop, in
+// O(n log n + n·s·d) time and O(n·d) memory (s the skyline size) with no
+// per-pair state. Empty groups neither drop nor are dropped.
+void DropCornerDominated(const GroupedDataset& dataset,
+                         AggregateSkylineResult* result) {
   const uint32_t n = static_cast<uint32_t>(dataset.num_groups());
-  std::vector<uint8_t> anytime_dominated(n, 1);
-  for (uint32_t g : snapshot.possible) anytime_dominated[g] = 0;
-
-  partial.skyline.clear();
+  std::vector<std::vector<double>> min_corners;
   for (uint32_t g = 0; g < n; ++g) {
-    if (anytime_dominated[g] != 0) partial.dominated[g] = 1;
-    if (partial.dominated[g] == 0) partial.skyline.push_back(g);
+    if (dataset.group(g).size() > 0) {
+      min_corners.push_back(dataset.group(g).mbb().min);
+    }
   }
-  partial.stats.record_comparisons += snapshot.comparisons_used;
-  partial.quality = snapshot.complete ? ResultQuality::kExact
-                                      : ResultQuality::kApproximateSuperset;
-  return partial;
+  const std::vector<size_t> frontier =
+      skyline::Compute(min_corners, skyline::AllMax(dataset.dims()));
+
+  result->skyline.clear();
+  for (uint32_t g = 0; g < n; ++g) {
+    const Group& group = dataset.group(g);
+    if (result->dominated[g] == 0 && group.size() > 0) {
+      // Runs once, after the trip: n·s corner tests, no per-pair state.
+      // galaxy-analyze: allow(budget-reach)
+      for (size_t i : frontier) {
+        if (skyline::Dominates(min_corners[i], group.mbb().max)) {
+          result->dominated[g] = 1;
+          result->strongly_dominated[g] = 1;
+          break;
+        }
+      }
+    }
+    if (result->dominated[g] == 0) result->skyline.push_back(g);
+  }
+  result->quality = ResultQuality::kApproximateSuperset;
 }
 
 }  // namespace
@@ -184,7 +186,7 @@ Result<AggregateSkylineResult> ComputeAggregateSkylineBounded(
   if (!options.allow_approximate || !options.exec->degradable_trip()) {
     return options.exec->status();
   }
-  result = DegradeToAnytime(dataset, options, std::move(result));
+  DropCornerDominated(dataset, &result);
   result.stats.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

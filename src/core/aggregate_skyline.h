@@ -48,9 +48,10 @@ AggregateSkylineResult ComputeAggregateSkyline(
 /// budgets; core/exec_context.h). When the context stops the run:
 ///  - with `options.allow_approximate` set and a degradable trip reason
 ///    (cancel / deadline / comparison budget), the partial — always sound —
-///    dominance marks are merged with a bounded anytime salvage pass and
-///    the result is returned tagged ResultQuality::kApproximateSuperset
-///    (kExact if the salvage pass happened to finish the job);
+///    dominance marks are kept, every group whose MBB max corner another
+///    non-empty group's min corner dominates is dropped as fully dominated
+///    (one pass, O(n·d) memory, no per-pair state), and the result is
+///    returned tagged ResultQuality::kApproximateSuperset;
 ///  - otherwise the trip reason propagates as an error Status
 ///    (kCancelled / kDeadlineExceeded / kResourceExhausted) and no result
 ///    is returned. Memory-budget trips always take this branch.

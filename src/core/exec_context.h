@@ -15,9 +15,10 @@ enum class ResultQuality {
   /// weak-transitivity gap of the pruned algorithms).
   kExact,
   /// The run was interrupted (deadline, cancellation or comparison budget)
-  /// and degraded through the anytime operator: the skyline is a *sound
-  /// over-approximation* — a superset of the exact aggregate skyline. No
-  /// group was wrongly excluded; some dominated groups may remain.
+  /// and degraded to its own marks plus the MBB corner test: the skyline
+  /// is a *sound over-approximation* — a superset of the exact aggregate
+  /// skyline. No group was wrongly excluded; some dominated groups may
+  /// remain.
   kApproximateSuperset,
 };
 
@@ -95,9 +96,10 @@ class ExecutionContext {
   Status status() const;
 
   /// True when the run stopped for a reason that permits graceful
-  /// degradation through the anytime operator — cancellation, deadline,
-  /// or the comparison budget. A memory-budget trip is never degradable:
-  /// the salvage pass could not respect the memory cap either.
+  /// degradation to a sound superset — cancellation, deadline, or the
+  /// comparison budget. A memory-budget trip is never degradable: the
+  /// degraded pass copies O(n·d) MBB corners outside any reservation, so
+  /// the cap surfaces as an error instead.
   bool degradable_trip() const;
 
   /// Charges `n` work units and re-evaluates the limits. Returns true when

@@ -87,10 +87,10 @@ struct AggregateSkylineOptions {
 
   /// When the control plane stops the run for a deadline, a cancellation
   /// or the comparison budget, degrade gracefully instead of erroring:
-  /// hand the dataset to the anytime operator and return its sound
-  /// over-approximation snapshot tagged ResultQuality::kApproximateSuperset
-  /// (memory-budget trips always error — degradation could not respect
-  /// them either). Ignored when exec is null.
+  /// keep the interrupted run's marks, drop the groups the MBB corner test
+  /// proves fully dominated, and return the sound over-approximation
+  /// tagged ResultQuality::kApproximateSuperset (memory-budget trips always
+  /// error). Ignored when exec is null.
   bool allow_approximate = false;
 };
 

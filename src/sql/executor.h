@@ -19,7 +19,9 @@ struct ExecOptions {
   core::ExecutionContext* exec = nullptr;
   /// When the control plane trips inside an aggregate-skyline step
   /// (SKYLINE OF ... GROUP BY) for a degradable reason, return the sound
-  /// over-approximation instead of an error; ExecStats::skyline_quality
+  /// over-approximation instead of an error: the interrupted run's marks
+  /// plus one MBB corner pass (core/aggregate_skyline.h), so the answer
+  /// costs no more than the trip allowed. ExecStats::skyline_quality then
   /// reports kApproximateSuperset. Trips outside that step still error:
   /// a half-streamed WHERE has no sound partial answer.
   bool allow_approximate = false;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/aggregate_skyline.h"
 #include "core/exec_context.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
@@ -54,15 +55,23 @@ struct FaultCheckOutcome {
 ///    differential check against the oracle;
 ///  - if it fired without allow_approximate, the returned Status code
 ///    matches the injected fault kind;
-///  - if it fired with allow_approximate, the degraded result is a sound
-///    superset of the oracle skyline, every dominance mark it carries is
-///    true, its structural invariants hold, and a kExact quality claim is
-///    backed by exact equality with the oracle.
+///  - if it fired with allow_approximate, the degraded result passes
+///    CheckDegraded.
 FaultCheckOutcome RunFaultCheck(const core::GroupedDataset& dataset,
                                 double gamma,
                                 const DifferentialConfig& config,
                                 const OracleResult& oracle,
                                 const FaultPlan& plan);
+
+/// Checks a degraded (tripped, allow_approximate) result against the
+/// oracle: mark vectors sized to the dataset, skyline equal to the
+/// unmarked groups in ascending order, every dominated and strongly
+/// dominated mark true, no oracle-skyline group missing (a sound
+/// superset), and quality kApproximateSuperset. Returns "" when all hold,
+/// else the first violated property.
+std::string CheckDegraded(const core::GroupedDataset& dataset,
+                          const OracleResult& oracle,
+                          const core::AggregateSkylineResult& result);
 
 /// Draws a randomized fault plan: kind uniform over the three classes,
 /// trigger biased toward the interesting region (0, 1, just past the MBB

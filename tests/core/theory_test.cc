@@ -2,7 +2,8 @@
 // asymmetry (Proposition 1), stability to updates (Property 2), stability to
 // monotone transformations (Proposition 2), failure of skyline containment
 // (Proposition 3), failure of transitivity (Proposition 4), and weak
-// transitivity (Proposition 5).
+// transitivity (Proposition 5), plus the full-domination lemma and the
+// Figure 9(b) corner test behind the degraded answer (DESIGN.md §3b).
 
 #include <cmath>
 
@@ -13,6 +14,8 @@
 #include "testing/domination_matrix.h"
 #include "core/gamma.h"
 #include "skyline/skyline.h"
+#include "testing/oracle.h"
+#include "testing/property_gen.h"
 
 namespace galaxy::core {
 namespace {
@@ -377,6 +380,59 @@ TEST(WeakTransitivityTest, BoundIsTightAtTheMatrixConstruction) {
   EXPECT_DOUBLE_EQ(st.pos(), 1 - alpha / 2);
   DominationMatrix rt = rs.BooleanProduct(st);
   EXPECT_GE(rt.pos(), 1 - alpha * alpha - 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Full domination: p(R ≻ S) = 1, and the MBB corner test that proves it.
+// ---------------------------------------------------------------------------
+
+TEST(FullDominationTest, MinCornerDominatingMaxCornerMeansProbabilityOne) {
+  // If min_R dominates max_S, every r >= min_R >= max_S >= every s with one
+  // strict dimension, so every record of R dominates every record of S.
+  // Adversarial datasets put records on other groups' corners, duplicate
+  // records and leave groups empty.
+  int implications = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    GroupedDataset ds = testing::GenerateAdversarialDataset(rng);
+    for (const Group& r : ds.groups()) {
+      for (const Group& s : ds.groups()) {
+        if (&r == &s || r.size() == 0 || s.size() == 0) continue;
+        if (!skyline::Dominates(r.mbb().min, s.mbb().max)) continue;
+        ++implications;
+        EXPECT_EQ(testing::OracleDominationProbability(r, s), 1.0)
+            << "seed " << seed << " groups " << r.id() << " -> " << s.id();
+      }
+    }
+  }
+  EXPECT_GT(implications, 1000);
+}
+
+TEST(FullDominationTest, FullyDominatedGroupAddsNoDomination) {
+  // The lemma: p(R ≻ S) = 1 implies p(S ≻ R) = 0 and p(R ≻ T) >= p(S ≻ T)
+  // for every T != R (if some s beats t, every r beats that s, hence t).
+  int premises = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    GroupedDataset ds = testing::GenerateAdversarialDataset(rng);
+    for (const Group& r : ds.groups()) {
+      for (const Group& s : ds.groups()) {
+        if (&r == &s || r.size() == 0 || s.size() == 0) continue;
+        if (testing::OracleDominationProbability(r, s) != 1.0) continue;
+        ++premises;
+        EXPECT_EQ(testing::OracleDominationProbability(s, r), 0.0)
+            << "seed " << seed;
+        for (const Group& t : ds.groups()) {
+          if (&t == &r) continue;
+          EXPECT_GE(testing::OracleDominationProbability(r, t),
+                    testing::OracleDominationProbability(s, t))
+              << "seed " << seed << " R " << r.id() << " S " << s.id()
+              << " T " << t.id();
+        }
+      }
+    }
+  }
+  EXPECT_GT(premises, 1000);
 }
 
 }  // namespace

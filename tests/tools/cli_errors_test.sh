@@ -97,8 +97,9 @@ if [[ $? -ne 1 ]] || ! grep -q "ResourceExhausted" "$TMPDIR_LOCAL/stderr"; then
   echo "FAIL: --strict budget trip did not produce ResourceExhausted" >&2
   failures=$((failures + 1))
 fi
-# A dataset big enough that the degradation pass cannot finish either, so
-# the salvage result is genuinely approximate.
+# A 100-comparison budget trips inside the skyline operator; the degraded
+# answer (the run's own marks plus the MBB corner pass) is always reported
+# as an approximate superset.
 BIG="$TMPDIR_LOCAL/big.csv"
 "$CLI" generate --type grouped --out "$BIG" --records 60000 --seed 3 \
   >/dev/null || { echo "FAIL: generate big"; exit 1; }

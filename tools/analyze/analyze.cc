@@ -301,8 +301,7 @@ bool IsBudgetEntryFile(const std::string& path) {
   std::string base = Basename(path);
   if (path.find("src/core/") != std::string::npos) {
     if (base.rfind("algorithm_", 0) == 0) return true;
-    return base == "anytime.cc" || base == "incremental.cc" ||
-           base == "aggregate_skyline.cc";
+    return base == "incremental.cc" || base == "aggregate_skyline.cc";
   }
   return path.find("src/sql/executor.cc") != std::string::npos;
 }

@@ -13,8 +13,10 @@
 //
 // --timeout-ms / --max-comparisons bound the run through the execution
 // control plane; by default an interrupted skyline degrades to a sound
-// over-approximation (reported as "# quality: approximate-superset"),
-// while --strict turns any trip into a non-zero-exit error instead.
+// over-approximation (reported as "# quality: approximate-superset"): the
+// groups the run had not proven dominated, minus those whose MBB max
+// corner another group's min corner dominates. --strict turns any trip
+// into a non-zero-exit error instead.
 //
 // Exit status: 0 on success, 1 on execution errors, 2 on usage errors
 // (unknown flag, malformed number, out-of-range gamma).
